@@ -339,14 +339,23 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
     truth = load_truth(args.truth, matrix)
-    predictions = _load_predictions(args.predictions, matrix)
+    predictions, predicted = _load_predictions(args.predictions, matrix)
     acc = accuracy(predictions, truth)
-    print(json.dumps({"accuracy": acc, "n_evaluated": len(truth)}, sort_keys=True))
+    n_missing = int(np.count_nonzero(~predicted[truth.as_arrays()[0]]))
+    if n_missing:
+        print(
+            f"warning: {n_missing} of {len(truth)} evaluated items have no prediction "
+            "and were scored as class 0",
+            file=sys.stderr,
+        )
+    print(json.dumps({"accuracy": acc, "n_evaluated": len(truth), "n_missing": n_missing},
+                     sort_keys=True))
     return 0
 
 
-def _load_predictions(path, matrix) -> np.ndarray:
-    """Read a question,label file into a dense per-item label array.
+def _load_predictions(path, matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Read a question,label file into a dense per-item label array and a
+    mask of the items it predicts.
 
     Items without a prediction default to class 0.
     """
@@ -355,6 +364,7 @@ def _load_predictions(path, matrix) -> np.ndarray:
     if not lines or lines[0].strip() != "question,label":
         raise ParseError(f"{path}:1: expected header 'question,label'")
     out = np.zeros(matrix.num_items, dtype=np.int64)
+    predicted = np.zeros(matrix.num_items, dtype=bool)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -370,7 +380,8 @@ def _load_predictions(path, matrix) -> np.ndarray:
             out[matrix.item_index[item]] = int(label)
         else:
             raise ValidationError(f"{path}:{lineno}: unknown label {label!r}")
-    return out
+        predicted[matrix.item_index[item]] = True
+    return out, predicted
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -124,84 +125,64 @@ class LabelMatrix:
         first-appearance order.
         """
         records = list(records)
-        if not records:
-            raise ValidationError("no label triples given")
+        if not records or set(map(len, records)) != {3}:
+            raise ValidationError("expected a non-empty list of (item, worker, label) triples")
+        columns = ([r[c] for r in records] for c in range(3))
+        return _build(*columns, num_classes, item_ids, worker_ids)
 
-        item_map = _index_map(item_ids)
-        worker_map = _index_map(worker_ids)
-        explicit_items = item_ids is not None
-        explicit_workers = worker_ids is not None
 
-        raw_labels = [r[2] for r in records]
-        integer_labels = all(_INT_LABEL.match(s) for s in raw_labels)
+def _build(items, workers, labels, num_classes=None, item_keys=None,
+           worker_keys=None, label_keys=None, check=None) -> LabelMatrix:
+    """Build a matrix from parallel item, worker and label string columns.
 
-        items = np.empty(len(records), dtype=np.int64)
-        workers = np.empty(len(records), dtype=np.int64)
-        labels = np.empty(len(records), dtype=np.int64)
-        label_map: dict[str, int] = {}
-        seen_pairs: set[tuple[int, int]] = set()
-
-        for t, (item, worker, label) in enumerate(records):
-            i = _lookup(item_map, item, explicit_items, "item")
-            j = _lookup(worker_map, worker, explicit_workers, "worker")
-            if (i, j) in seen_pairs:
-                raise ValidationError(
-                    f"duplicate label: worker {worker!r} labelled item {item!r} twice"
-                )
-            seen_pairs.add((i, j))
-            if integer_labels:
-                k = int(label)
-            else:
-                k = label_map.setdefault(label, len(label_map))
-            items[t], workers[t], labels[t] = i, j, k
-
-        if integer_labels:
-            inferred = int(labels.max()) + 1
-            if num_classes is not None and num_classes < inferred:
-                raise ValidationError(
-                    f"num_classes={num_classes} is below the largest label index "
-                    f"{inferred - 1}"
-                )
-            k_total = num_classes if num_classes is not None else inferred
-            label_names = tuple(str(k) for k in range(k_total))
-        else:
-            if num_classes is not None and num_classes != len(label_map):
-                raise ValidationError(
-                    "num_classes can only extend integer label spaces; "
-                    f"got {num_classes} with {len(label_map)} distinct label strings"
-                )
-            k_total = len(label_map)
-            label_names = tuple(label_map)
-
-        return cls(
-            items=items,
-            workers=workers,
-            labels=labels,
-            num_items=len(item_map),
-            num_workers=len(worker_map),
-            num_classes=k_total,
-            item_ids=tuple(item_map),
-            worker_ids=tuple(worker_map),
-            label_names=label_names,
+    A ``*_keys`` argument is that column's id universe in index order
+    (default: its distinct values in first-appearance order). ``check``,
+    if given, gets the first row whose (item, worker) pair repeats an
+    earlier row's, or ``len(items)``, and may raise its own error first.
+    """
+    i, item_ids = _factorise(items, item_keys, "item")
+    w, worker_ids = _factorise(workers, worker_keys, "worker")
+    pairs = i * len(worker_ids) + w
+    order = np.argsort(pairs, kind="stable")
+    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
+    row = int(repeats.min()) if repeats.size else len(items)
+    if check is not None:
+        check(row)
+    if row < len(items):
+        raise ValidationError(
+            f"duplicate label: worker {workers[row]!r} labelled item {items[row]!r} twice"
         )
 
+    k, label_names = _factorise(labels, label_keys, "label")
+    if all(map(_INT_LABEL.match, label_names)):
+        k = np.array(list(map(int, label_names)), dtype=np.int64)[k]
+        inferred = int(k.max()) + 1
+        if num_classes is not None and num_classes < inferred:
+            raise ValidationError(
+                f"num_classes={num_classes} is below the largest label index "
+                f"{inferred - 1}"
+            )
+        label_names = tuple(map(str, range(num_classes or inferred)))
+    elif num_classes is not None and num_classes != len(label_names):
+        raise ValidationError(
+            "num_classes can only extend integer label spaces; "
+            f"got {num_classes} with {len(label_names)} distinct label strings"
+        )
+    return LabelMatrix(i, w, k, len(item_ids), len(worker_ids), len(label_names),
+                       item_ids, worker_ids, label_names)
 
-def _index_map(ids: Sequence[str] | None) -> dict[str, int]:
-    if ids is None:
-        return {}
-    out = {name: i for i, name in enumerate(ids)}
-    if len(out) != len(ids):
+
+def _factorise(column, keys, kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int64 codes of ``column`` over ``keys`` (default: its distinct
+    values in first-appearance order), and the keys as a tuple."""
+    keys = tuple(dict.fromkeys(column) if keys is None else keys)
+    index = dict(zip(keys, range(len(keys))))
+    if len(index) != len(keys):
         raise ValidationError("explicit id list contains duplicates")
-    return out
-
-
-def _lookup(mapping: dict[str, int], key: str, explicit: bool, kind: str) -> int:
-    if explicit:
-        try:
-            return mapping[key]
-        except KeyError:
-            raise ValidationError(f"unknown {kind} id {key!r}") from None
-    return mapping.setdefault(key, len(mapping))
+    try:
+        return np.fromiter(map(index.__getitem__, column), np.int64, len(column)), keys
+    except KeyError as exc:
+        raise ValidationError(f"unknown {kind} id {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
@@ -324,20 +305,39 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
     the matching truth file mentions classes no worker ever used.
     """
     lines = _read_lines(path, LABELS_HEADER)
-    records = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in lines:
-        fields = _split_fields(path, lineno, line, 3)
-        item, worker, _ = fields
-        if (item, worker) in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate (item, worker) pair ({item!r}, {worker!r})"
-            )
-        seen.add((item, worker))
-        records.append(tuple(fields))
-    if not records:
+    rows = list(filter(str.strip, lines))
+    if not rows:
         raise ValidationError(f"{path}: no label rows after the header")
-    return LabelMatrix.from_triples(records, num_classes=num_classes)
+    # Rows before ``good`` have three comma-separated fields, all non-empty.
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
+    bad = np.flatnonzero(commas != 2)
+    good = int(bad[0]) if bad.size else len(rows)
+    fields = ",".join(rows[:good]).split(",") if good else []
+    columns = [fields[c::3] for c in range(3)]
+    del fields
+    keys = []
+    for c, column in enumerate(columns):
+        distinct = dict.fromkeys(column)
+        if any(map(str.__ne__, distinct, map(str.strip, distinct))):
+            columns[c] = column = list(map(str.strip, column))
+            distinct = dict.fromkeys(column)
+        if "" in distinct:
+            good = min(good, column.index(""))
+        keys.append(distinct)
+    items, workers, labels = columns
+
+    def check(row: int) -> None:
+        first = min(row, good)
+        if first < len(rows):
+            nonblank = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+            at = f"{path}:{np.flatnonzero(nonblank)[first] + 2}"
+            if row < good:
+                raise ValidationError(f"{at}: duplicate (item, worker) pair "
+                                      f"({items[row]!r}, {workers[row]!r})")
+            raise ParseError(f"{at}: expected 3 non-empty comma-separated fields, "
+                             f"got {rows[good].strip()!r}")
+
+    return _build(items, workers, labels, num_classes, *keys, check=check)
 
 
 def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
@@ -349,8 +349,16 @@ def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
     lines = _read_lines(path, TRUTH_HEADER)
     mapping: dict[int, int] = {}
     integer_labels = all(_INT_LABEL.match(name) for name in matrix.label_names)
-    for lineno, line in lines:
-        item, label = _split_fields(path, lineno, line, 2)
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2 or not all(fields):
+            raise ParseError(
+                f"{path}:{lineno}: expected 2 non-empty comma-separated fields, "
+                f"got {line.strip()!r}"
+            )
+        item, label = fields
         if item not in matrix.item_index:
             raise ValidationError(f"{path}:{lineno}: unknown item id {item!r}")
         i = matrix.item_index[item]
@@ -390,7 +398,8 @@ def save_truth(truth: GroundTruth, matrix: LabelMatrix, path) -> None:
             fh.write(f"{matrix.item_ids[i]},{matrix.label_names[k]}\n")
 
 
-def _read_lines(path, expected_header: str) -> list[tuple[int, str]]:
+def _read_lines(path, expected_header: str) -> list[str]:
+    """The lines after the checked header; ``lines[n]`` is line ``n + 2``."""
     text = Path(path).read_text(encoding="utf-8-sig")
     raw = text.splitlines()
     if not raw or not raw[0].strip():
@@ -399,14 +408,5 @@ def _read_lines(path, expected_header: str) -> list[tuple[int, str]]:
         raise ParseError(
             f"{path}:1: bad header {raw[0].strip()!r} (expected {expected_header!r})"
         )
-    return [(n, line) for n, line in enumerate(raw[1:], start=2) if line.strip()]
+    return raw[1:]
 
-
-def _split_fields(path, lineno: int, line: str, count: int) -> list[str]:
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != count or any(not f for f in fields):
-        raise ParseError(
-            f"{path}:{lineno}: expected {count} non-empty comma-separated fields, "
-            f"got {line.strip()!r}"
-        )
-    return fields

@@ -16,7 +16,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
 
 from .dataset import GroundTruth
 
@@ -143,6 +142,8 @@ def wilcoxon_one_sided(diffs) -> WilcoxonResult:
     Tests whether the method is better: small ``w_minus`` gives small p.
     Raises if every difference is zero (nothing to rank).
     """
+    from scipy import stats  # deferred: importing it costs most of the CLI's start-up
+
     d = np.asarray(diffs, dtype=np.float64)
     nz = d[d != 0.0]
     if nz.size == 0:

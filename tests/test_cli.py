@@ -241,3 +241,23 @@ class TestEval:
         payload = json.loads(out.strip())
         assert payload["n_evaluated"] == 30
         assert 0.0 <= payload["accuracy"] <= 1.0
+
+    def test_reports_items_without_prediction(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, capsys, "ds1", 8)
+        pred = tmp_path / "pred.csv"
+        assert run(capsys, "aggregate", "--labels", str(d / "labels.csv"),
+                   "--method", "mv", "--out", str(pred))[0] == 0
+        full = pred.read_text().splitlines()
+        args = ("eval", "--labels", str(d / "labels.csv"),
+                "--predictions", str(pred), "--truth", str(d / "truth.csv"))
+        code, out, err = run(capsys, *args)
+        assert json.loads(out)["n_missing"] == 0
+        assert "warning" not in err
+
+        pred.write_text("\n".join(full[:1] + full[3:]) + "\n")
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_missing"] == 2
+        assert payload["n_evaluated"] == 30
+        assert "2 of 30 evaluated items have no prediction" in err

@@ -91,6 +91,37 @@ class TestLoadLabels:
         path = write(tmp_path, "l.csv", "question,worker,answer\nq1,w1,A\n\nq2,w1,B\n\n")
         assert load_labels(path).num_labels == 2
 
+    def test_first_repeated_pair_in_file_order_is_named(self, tmp_path):
+        # 300 distinct pairs, then the same pairs in reverse order: the first
+        # repeat in the file is the last pair again, on line 2 + 300.
+        rows = [f"q{i},w{i % 7},A" for i in range(300)]
+        path = write(tmp_path, "l.csv",
+                     "question,worker,answer\n" + "\n".join(rows + rows[::-1]) + "\n")
+        with pytest.raises(ValidationError, match=r":302: .*\('q299', 'w5'\)"):
+            load_labels(path)
+
+    def test_repeated_pair_before_malformed_row_wins(self, tmp_path):
+        path = write(tmp_path, "l.csv",
+                     "question,worker,answer\nq1,w1,A\n\n q1 ,w1,B\nq2,w1\n")
+        with pytest.raises(ValidationError, match=":4: duplicate"):
+            load_labels(path)
+
+    def test_malformed_row_before_repeated_pair_wins(self, tmp_path):
+        path = write(tmp_path, "l.csv",
+                     "question,worker,answer\nq1,w1,A\nq2, ,B\nq1,w1,B\n")
+        with pytest.raises(ParseError, match=":3:"):
+            load_labels(path)
+
+    def test_padding_crlf_and_bom(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes("\ufeffquestion,worker,answer\r\n q1 ,w1\t, 2\r\n\r\nq2,w1,0\r\n"
+                         .encode("utf-8"))
+        m = load_labels(path)
+        assert m.item_ids == ("q1", "q2")
+        assert m.worker_ids == ("w1",)
+        assert list(m.labels) == [2, 0]
+        assert m.num_classes == 3
+
 
 class TestRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):
@@ -164,9 +195,32 @@ class TestFromTriples:
         with pytest.raises(ValidationError, match="duplicate"):
             LabelMatrix.from_triples([("q0", "w0", "0"), ("q0", "w0", "1")])
 
+    def test_unknown_worker_with_explicit_universe(self):
+        with pytest.raises(ValidationError, match="unknown worker id 'wX'"):
+            LabelMatrix.from_triples([("q0", "w0", "0"), ("q0", "wX", "1")],
+                                     item_ids=["q0"], worker_ids=["w0"])
+
+    def test_duplicate_explicit_ids_rejected(self):
+        with pytest.raises(ValidationError, match="explicit id list contains duplicates"):
+            LabelMatrix.from_triples([("q0", "w0", "0")], item_ids=["q0", "q0"])
+
+    def test_duplicate_names_both_ids_of_first_repeat(self):
+        rows = [(f"q{i}", f"w{i % 7}", "0") for i in range(300)]
+        with pytest.raises(ValidationError, match="worker 'w5' labelled item 'q299' twice"):
+            LabelMatrix.from_triples(rows + rows[::-1])
+
+    def test_duplicate_under_explicit_universe(self):
+        with pytest.raises(ValidationError, match="worker 'w1' labelled item 'q1' twice"):
+            LabelMatrix.from_triples([("q1", "w1", "0"), ("q0", "w1", "0"), ("q1", "w1", "1")],
+                                     item_ids=["q0", "q1"], worker_ids=["w0", "w1"])
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             LabelMatrix.from_triples([])
+
+    def test_records_must_be_triples(self):
+        with pytest.raises(ValidationError, match="triples"):
+            LabelMatrix.from_triples([("q0", "w0", "0"), ("q1", "w0", "0", "extra")])
 
     def test_string_labels_reject_class_override(self):
         with pytest.raises(ValidationError):
