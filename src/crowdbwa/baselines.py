@@ -81,22 +81,26 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
         totals[:, None] > 0, counts / np.maximum(totals, 1)[:, None], 1.0 / k
     )
 
+    cell = workers * k + labels  # (worker, observed class) confusion row
     trace = []
     converged = False
     iterations = 0
     confusion = np.full((w, k, k), 1.0 / k)
     priors = np.full(k, 1.0 / k)
     for iterations in range(1, params.max_iters + 1):
-        # M-step: smoothed class priors and confusion rows.
+        # M-step: smoothed class priors and confusion rows; one bincount
+        # per true class keeps the temporaries at one label-length array.
         priors = (posteriors.sum(axis=0) + s) / (n + k * s)
-        flat = np.zeros((w * k, k))  # row (j, observed l), content over true class
-        np.add.at(flat, workers * k + labels, posteriors[items])
-        confusion = flat.reshape(w, k, k).transpose(0, 2, 1) + s
+        flat = np.stack([np.bincount(cell, posteriors[items, c], w * k) for c in range(k)])
+        confusion = flat.reshape(k, w, k).transpose(1, 0, 2) + s
         confusion = confusion / confusion.sum(axis=2, keepdims=True)
+        log_confusion = np.log(confusion)
 
         # E-step in log space.
-        log_like = np.tile(np.log(priors), (n, 1))
-        np.add.at(log_like, items, np.log(confusion[workers, :, labels]))
+        log_like = np.log(priors) + np.stack(
+            [np.bincount(items, log_confusion[:, c, :].ravel()[cell], n) for c in range(k)],
+            axis=1,
+        )
         shift = log_like.max(axis=1, keepdims=True)
         unnorm = np.exp(log_like - shift)
         new_posteriors = unnorm / unnorm.sum(axis=1, keepdims=True)
@@ -104,7 +108,7 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
         log_marginal = float((shift[:, 0] + np.log(unnorm.sum(axis=1))).sum())
         trace.append(
             log_marginal
-            + s * float(np.log(confusion).sum())
+            + s * float(log_confusion.sum())
             + s * float(np.log(priors).sum())
         )
 

@@ -20,14 +20,18 @@ stop moving:
 Multi-class tasks are handled one-versus-rest: the binary model scores
 each class against the rest and the highest-scoring class wins.
 
-All reductions accumulate in a fixed order determined by the summand
-values alone (never by array position), so repeated runs are
-bit-identical and relabelling items or workers permutes every output
-without perturbing a single bit.
+No reduction depends on the order of its summands: whole-array sums are
+exact (``math.fsum``), and per-worker and per-item sums are pre-rounded
+onto a power-of-two grid on which ``np.bincount`` adds without rounding
+(see ``_exact_sums``). Each sum is thus a function of the multiset of
+its summands, so repeated runs are bit-identical, relabelling items or
+workers permutes every output without perturbing a single bit, and the
+order of the label rows does not matter either.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -132,42 +136,39 @@ class MultiClassResult:
 
 
 # ---------------------------------------------------------------------------
-# order-canonical reductions
+# exact reductions
 # ---------------------------------------------------------------------------
 
 
-def _sum_by_value(values: np.ndarray) -> float:
-    """Sum after sorting, so the result depends only on the multiset."""
-    return float(np.sort(values, kind="stable").sum())
+def _exact_sums(x, groups, num_groups: int, max_group_size: int) -> np.ndarray:
+    """Per-group sums of ``x`` that do not depend on the summation order.
 
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Ascending-value ranks (ties broken by position, which only ever
-    reorders equal floats)."""
-    ranks = np.empty(values.size, dtype=np.int64)
-    ranks[np.argsort(values, kind="stable")] = np.arange(values.size)
-    return ranks
-
-
-def _group_sums(groups, subkey, stride, num_groups, *summands):
-    """Per-group sums accumulated in ascending ``subkey`` order.
-
-    ``subkey`` must be an integer key in [0, stride) computed from the
-    summand values alone (callers build it from value ranks); any two
-    elements it fails to distinguish must hold equal floats, which add
-    identically in any order. The accumulation order within a group is
-    then a function of the group's value multiset, making the sums
-    bit-identical under any relabelling of items or workers.
+    Pre-rounded summation (Demmel & Nguyen, "Fast Reproducible
+    Floating-Point Summation", ARITH 2013). Each summand is split into
+    two folds, each rounded onto a power-of-two grid ``q`` by adding and
+    subtracting ``1.5 * 2**52 * q``. The first grid is chosen from max|x|
+    and ``max_group_size`` so that no group's partial sum spans more
+    than 2**53 grid steps, and the second from the first's rounding
+    error in the same way. Every partial sum of a fold is then exact, so
+    ``np.bincount`` adds in any order without rounding, and each group's
+    result depends only on the multiset of its summands (plus max|x| and
+    ``max_group_size``, which relabelling or reordering the summands
+    leaves alone). What the two folds leave out is at most
+    ``max_group_size**2 * 2**-102 * max|x|`` per summand. The grid never
+    drops below 2**-1074, the spacing of subnormal doubles, so it cannot
+    underflow and subnormal summands are kept exactly.
     """
-    outs = [np.zeros(num_groups) for _ in summands]
-    if groups.size:
-        order = np.argsort(groups * stride + subkey, kind="stable")
-        g = groups[order]
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        heads = g[starts]
-        for out, s in zip(outs, summands):
-            out[heads] = np.add.reduceat(s[order], starts)
-    return outs
+    step = max_group_size.bit_length() - 52
+    exp = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    sums = np.zeros(num_groups)
+    for _ in range(2):
+        exp = max(exp + step, -1074)
+        shift = math.ldexp(1.5, exp + 52)
+        fold = x + shift
+        fold -= shift
+        sums += np.bincount(groups, fold, num_groups)
+        x = x - fold
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def estimate_error_rate(matrix: LabelMatrix, epsilon_floor: float = 1e-6) -> flo
     counts = counts[labelled]
     totals_l = totals[labelled]
     per_cell = counts * (totals_l[:, None] - counts) / totals_l[:, None]
-    raw = _sum_by_value(per_cell.ravel()) / (matrix.num_classes * totals_l.sum())
+    raw = math.fsum(per_cell.ravel().tolist()) / (matrix.num_classes * totals_l.sum())
     return max(raw, epsilon_floor)
 
 
@@ -245,26 +246,20 @@ def resolve(hp: BwaHyperParams, matrix: LabelMatrix) -> BwaHyperParams:
 # ---------------------------------------------------------------------------
 
 
-def _resolved(hp: BwaHyperParams, view: BinaryView) -> BwaHyperParams:
-    return resolve(hp, view.matrix)
+def _check_resolved(hp: BwaHyperParams) -> None:
+    if hp.b_v is None:
+        raise ValueError("b_v is unresolved; pass the hyper-parameters through resolve()")
 
 
 def _expectation(z, view: BinaryView, hp) -> tuple[np.ndarray, np.ndarray]:
     """(SSE_j, E[v_j]) for every worker at truth estimates ``z``."""
     residuals = z[view.items] - view.y
-    squared = residuals * residuals
-    # Within each worker, accumulate the indicator-0 residuals in
-    # ascending z order, then the indicator-1 residuals in descending z
-    # order: both sequences are ascending in the squared residual, so
-    # the order is determined by the values alone.
-    n = view.num_items
-    rank_z = _ranks(z)[view.items]
-    subkey = np.where(view.y == 1.0, 2 * n - 1 - rank_z, rank_z)
-    (sse,) = _group_sums(view.workers, subkey, 2 * n, view.num_workers, squared)
-    # Each squared residual is <= 1, so SSE_j <= |N_j| exactly; clamp away
-    # any accumulated rounding overshoot to preserve the minimum-weight
-    # guarantee E[v_j] >= 1 when b_v <= a_v.
     n_j = view.labels_per_worker
+    sse = _exact_sums(residuals * residuals, view.workers, view.num_workers,
+                      view.matrix.max_labels_per_worker)
+    # Each squared residual is <= 1, so SSE_j <= |N_j|; clamp away any
+    # overshoot from the last bits the sums drop, to preserve the
+    # minimum-weight guarantee E[v_j] >= 1 when b_v <= a_v.
     np.minimum(sse, n_j, out=sse)
     eqv = (hp.a_v + n_j) / (hp.b_v + sse)
     return sse, eqv
@@ -273,9 +268,9 @@ def _expectation(z, view: BinaryView, hp) -> tuple[np.ndarray, np.ndarray]:
 def _objective(z, mu, sse, view: BinaryView, hp) -> float:
     """Negative log likelihood at (z, mu), additive constant dropped."""
     dev = z - mu
-    item_term = 0.5 * hp.lam * _sum_by_value(dev * dev)
-    worker_term = _sum_by_value(
-        0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)
+    item_term = 0.5 * hp.lam * math.fsum((dev * dev).tolist())
+    worker_term = math.fsum(
+        (0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)).tolist()
     )
     return item_term + worker_term
 
@@ -285,16 +280,18 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
 
     ``z_i`` is the fraction of the item's workers voting for the focal
     class (0.5 for unlabelled items), ``mu`` the mean of those values;
-    worker precisions follow from one expectation pass.
+    worker precisions follow from one expectation pass. Like every step,
+    it needs ``hp`` resolved (``b_v`` set) and raises ``ValueError``
+    otherwise.
     """
-    hp = _resolved(hp, view)
+    _check_resolved(hp)
     totals = view.labels_per_item
     z = np.where(
         totals > 0,
         view.positives_per_item / np.maximum(totals, 1),
         0.5,
     )
-    mu = _sum_by_value(z) / view.num_items
+    mu = math.fsum(z.tolist()) / view.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
     return BwaState(z=z, mu=mu, eqv=eqv, sse=sse, nll=nll, iteration=0)
@@ -305,7 +302,7 @@ def e_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
 
     Workers with no labels fall back to the prior mean ``a_v / b_v``.
     """
-    hp = _resolved(hp, view)
+    _check_resolved(hp)
     sse, eqv = _expectation(state.z, view, hp)
     return replace(state, sse=sse, eqv=eqv)
 
@@ -318,26 +315,22 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     labels therefore sit at ``mu``. The new ``mu`` is the mean of the
     new ``z``. Updating sequentially keeps the objective non-increasing.
     """
-    hp = _resolved(hp, view)
+    _check_resolved(hp)
     w = state.eqv[view.workers]
-    # Ascending-weight order within each item; the zero summands that
-    # indicator masking introduces into the numerator are exact no-ops,
-    # so one ordering serves both reductions.
-    subkey = _ranks(state.eqv)[view.workers]
-    den, num = _group_sums(
-        view.items, subkey, view.num_workers, view.num_items, w, w * view.y
-    )
+    size = view.matrix.max_labels_per_item
+    den = _exact_sums(w, view.items, view.num_items, size)
+    num = _exact_sums(w * view.y, view.items, view.num_items, size)
     z = (hp.lam * state.mu + num) / (hp.lam + den)
     # z is a convex combination of mu and {0,1} labels; clip the odd
     # one-ulp division overshoot so the [0,1] range invariant is exact.
     np.clip(z, 0.0, 1.0, out=z)
-    mu = _sum_by_value(z) / view.num_items
+    mu = math.fsum(z.tolist()) / view.num_items
     return replace(state, z=z, mu=mu)
 
 
 def neg_log_likelihood(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> float:
     """Objective value at the state's (z, mu), recomputing error sums."""
-    hp = _resolved(hp, view)
+    _check_resolved(hp)
     sse, _ = _expectation(state.z, view, hp)
     return _objective(state.z, state.mu, sse, view, hp)
 
@@ -354,7 +347,7 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     """
     if view.num_labels == 0:
         raise ValueError("cannot run aggregation on a view with no labels")
-    hp = _resolved(hp, view)
+    hp = resolve(hp, view.matrix)
     state = init_state(view, hp)
     trace = [state.nll]
     converged = False

@@ -185,14 +185,14 @@ def cmd_aggregate(args) -> int:
             "iterations": [r.iterations for r in result.per_class],
             "converged": all(r.converged for r in result.per_class),
             "final_objective": [float(r.nll_trace[-1]) for r in result.per_class],
-            "runtime_seconds": elapsed,
         }
         Path(f"{args.out}.summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"
         )
         print(
             f"bwa: epsilon={result.epsilon:.6g} b_v={result.b_v:.6g} "
-            f"iterations={summary['iterations']} converged={summary['converged']}",
+            f"iterations={summary['iterations']} converged={summary['converged']} "
+            f"runtime={elapsed:.3f}s",
             file=sys.stderr,
         )
     return 0
@@ -374,13 +374,16 @@ def _load_predictions(path, matrix) -> tuple[np.ndarray, np.ndarray]:
         item, label = fields
         if item not in matrix.item_index:
             raise ValidationError(f"{path}:{lineno}: unknown item id {item!r}")
+        i = matrix.item_index[item]
+        if predicted[i]:
+            raise ValidationError(f"{path}:{lineno}: duplicate prediction for item {item!r}")
         if label in matrix.label_index:
-            out[matrix.item_index[item]] = matrix.label_index[label]
+            out[i] = matrix.label_index[label]
         elif label.isdigit() and int(label) < matrix.num_classes:
-            out[matrix.item_index[item]] = int(label)
+            out[i] = int(label)
         else:
             raise ValidationError(f"{path}:{lineno}: unknown label {label!r}")
-        predicted[matrix.item_index[item]] = True
+        predicted[i] = True
     return out, predicted
 
 

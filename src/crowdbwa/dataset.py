@@ -27,6 +27,7 @@ LABELS_HEADER = "question,worker,answer"
 TRUTH_HEADER = "question,truth"
 
 _INT_LABEL = re.compile(r"^\d+$")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class ParseError(ValueError):
@@ -78,6 +79,16 @@ class LabelMatrix:
         counts = np.bincount(self.workers, minlength=self.num_workers)
         counts.setflags(write=False)
         return counts
+
+    @cached_property
+    def max_labels_per_item(self) -> int:
+        """The largest |W_i| (0 without labels)."""
+        return int(self.labels_per_item.max(initial=0))
+
+    @cached_property
+    def max_labels_per_worker(self) -> int:
+        """The largest |N_j| (0 without labels)."""
+        return int(self.labels_per_worker.max(initial=0))
 
     @cached_property
     def item_index(self) -> dict[str, int]:
@@ -138,24 +149,32 @@ def _build(items, workers, labels, num_classes=None, item_keys=None,
     A ``*_keys`` argument is that column's id universe in index order
     (default: its distinct values in first-appearance order). ``check``,
     if given, gets the first row whose (item, worker) pair repeats an
-    earlier row's, or ``len(items)``, and may raise its own error first.
+    earlier row's and the first row whose integer label is beyond the
+    int64 range (each ``len(items)`` if there is none), and may raise
+    its own error first.
     """
     i, item_ids = _factorise(items, item_keys, "item")
     w, worker_ids = _factorise(workers, worker_keys, "worker")
     pairs = i * len(worker_ids) + w
     order = np.argsort(pairs, kind="stable")
     repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
-    row = int(repeats.min()) if repeats.size else len(items)
+    repeat = int(repeats.min()) if repeats.size else len(items)
+    k, label_names = _factorise(labels, label_keys, "label")
+    integer = all(map(_INT_LABEL.match, label_names))
+    values = list(map(int, label_names)) if integer else []
+    huge = [c for c, v in enumerate(values) if v > _INT64_MAX]
+    too_big = int(np.flatnonzero(np.isin(k, huge))[0]) if huge else len(items)
     if check is not None:
-        check(row)
-    if row < len(items):
+        check(repeat, too_big)
+    first = min(repeat, too_big)
+    if first < len(items):
         raise ValidationError(
-            f"duplicate label: worker {workers[row]!r} labelled item {items[row]!r} twice"
+            f"duplicate label: worker {workers[first]!r} labelled item {items[first]!r} twice"
+            if first == repeat else f"integer label {labels[first]!r} is beyond the int64 range"
         )
 
-    k, label_names = _factorise(labels, label_keys, "label")
-    if all(map(_INT_LABEL.match, label_names)):
-        k = np.array(list(map(int, label_names)), dtype=np.int64)[k]
+    if integer:
+        k = np.array(values, dtype=np.int64)[k]
         inferred = int(k.max()) + 1
         if num_classes is not None and num_classes < inferred:
             raise ValidationError(
@@ -326,14 +345,17 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
         keys.append(distinct)
     items, workers, labels = columns
 
-    def check(row: int) -> None:
-        first = min(row, good)
+    def check(repeat: int, too_big: int) -> None:
+        first = min(repeat, too_big, good)
         if first < len(rows):
             nonblank = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
             at = f"{path}:{np.flatnonzero(nonblank)[first] + 2}"
-            if row < good:
-                raise ValidationError(f"{at}: duplicate (item, worker) pair "
-                                      f"({items[row]!r}, {workers[row]!r})")
+            if first < good:
+                raise ValidationError(
+                    f"{at}: duplicate (item, worker) pair ({items[first]!r}, {workers[first]!r})"
+                    if first == repeat
+                    else f"{at}: integer label {labels[first]!r} is beyond the int64 range"
+                )
             raise ParseError(f"{at}: expected 3 non-empty comma-separated fields, "
                              f"got {rows[good].strip()!r}")
 

@@ -5,6 +5,8 @@ driver is checked against independent fixed-point iteration written out
 inline, and against majority vote where the two provably coincide.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
     PROFILES,
     BwaHyperParams,
+    _exact_sums,
     adjust_error_rate,
     aggregate_multiclass,
     derive_bv,
@@ -272,6 +275,86 @@ class TestNegLogLikelihood:
         near.mu = near.z[0]
         far.mu = far.z[0]
         assert neg_log_likelihood(near, view, hp) < neg_log_likelihood(far, view, hp)
+
+
+class TestUnresolvedHyperParams:
+    def test_steps_reject_unresolved_b_v(self):
+        view = binary_view(matrix_from([("q0", "w0", "1"), ("q0", "w1", "0")]), 1)
+        state = init_state(view, fixed_hp(15.0, 3.0))
+        hp = PROFILES["av15-adjusted"]
+        with pytest.raises(ValueError, match="resolve"):
+            init_state(view, hp)
+        for step in (e_step, m_step, neg_log_likelihood):
+            with pytest.raises(ValueError, match="resolve"):
+                step(state, view, hp)
+
+    def test_run_em_binary_resolves_once_itself(self):
+        m = generate(SynthSpec(num_items=40, num_workers=6, num_classes=2, redundancy=3,
+                                 seed=2))[0]
+        view = binary_view(m, 1)
+        hp = PROFILES["av30-original"]
+        own = run_em_binary(view, hp)
+        given = run_em_binary(view, resolve(hp, m))
+        assert np.array_equal(own.scores, given.scores)
+        assert np.array_equal(own.nll_trace, given.nll_trace)
+
+
+class TestExactSums:
+    """Per-group sums must not depend on the order of the summands, and
+    must match a correctly rounded sum of each group."""
+
+    @staticmethod
+    def check(x, groups, num_groups, seed=0):
+        size = int(np.bincount(groups, minlength=num_groups).max(initial=0))
+        sums = _exact_sums(x, groups, num_groups, size)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            p = rng.permutation(x.size)
+            assert _exact_sums(x[p], groups[p], num_groups, size).tobytes() == sums.tobytes()
+        for g in range(num_groups):
+            exact = math.fsum(x[groups == g].tolist())
+            assert abs(sums[g] - exact) <= 1e-15 * abs(exact)
+        return sums
+
+    def test_zeros_and_empty_groups(self):
+        sums = self.check(np.zeros(12), np.arange(12) % 3, 5)
+        assert sums.tobytes() == np.zeros(5).tobytes()
+        sums = self.check(np.array([0.25, 0.5, 0.0]), np.array([1, 1, 3]), 5)
+        assert list(sums) == [0.0, 0.75, 0.0, 0.0, 0.0]
+
+    def test_no_labels(self):
+        empty = np.empty(0)
+        assert list(_exact_sums(empty, np.empty(0, dtype=np.int64), 3, 0)) == [0.0] * 3
+
+    def test_mixed_magnitudes(self):
+        rng = np.random.default_rng(7)
+        groups = rng.integers(0, 40, size=1500)
+        x = 10.0 ** rng.uniform(-300, 0, size=groups.size)
+        # one summand near the top of the range in every group, so each
+        # group's sum is of the order of max|x|
+        x[:40] = rng.uniform(0.5, 1.0, size=40)
+        groups[:40] = np.arange(40)
+        self.check(x, groups, 40)
+
+    def test_large_group_near_its_bound(self):
+        # 1023 summands close to max|x| bring the group's sum near
+        # max_group_size * max|x|, the bound the grid is chosen for
+        rng = np.random.default_rng(3)
+        groups = np.r_[np.zeros(1023, dtype=np.int64), rng.integers(1, 3, size=977)]
+        self.check(np.full(groups.size, 0.1), groups, 3)
+        self.check(rng.uniform(0.5, 1.0, groups.size), groups, 3)
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(11)
+        tiny = np.nextafter(0.0, 1.0)
+        groups = rng.integers(0, 6, size=200)
+        x = rng.integers(1, 2**40, size=groups.size) * tiny
+        sums = self.check(x, groups, 6)
+        assert np.all(np.isfinite(sums))
+        # sums of subnormals are exact, so they equal the correctly rounded sums
+        for g in range(6):
+            assert sums[g] == math.fsum(x[groups == g].tolist())
+        self.check(np.array([tiny, 3 * tiny, 1e-300, 2.5e-308]), np.array([0, 0, 1, 1]), 2)
 
 
 class TestRunEmBinary:

@@ -114,6 +114,28 @@ class TestAggregate:
         assert code == 1
         assert ":3" in err
 
+    def test_label_beyond_int64_names_line(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text("question,worker,answer\nq1,w1,0\nq2,w1,99999999999999999999\n")
+        code, _, err = run(capsys, "aggregate", "--labels", str(labels),
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert "l.csv:3: integer label" in err
+
+    def test_bwa_outputs_and_summary_byte_identical(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, capsys, "ds1", 9)
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code, _, err = run(capsys, "aggregate", "--labels", str(d / "labels.csv"),
+                               "--method", "bwa", "--out", str(out))
+            assert code == 0
+            assert "runtime=" in err
+            outs.append([(tmp_path / f"{name}{suffix}").read_bytes()
+                         for suffix in ("", ".workers.csv", ".summary.json")])
+        assert outs[0] == outs[1]
+        assert "runtime_seconds" not in json.loads(outs[0][2])
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         labels = tmp_path / "l.csv"
         labels.write_text(FIXTURE)
@@ -261,3 +283,17 @@ class TestEval:
         assert payload["n_missing"] == 2
         assert payload["n_evaluated"] == 30
         assert "2 of 30 evaluated items have no prediction" in err
+
+    def test_repeated_prediction_rejected(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, capsys, "ds1", 8)
+        pred = tmp_path / "pred.csv"
+        assert run(capsys, "aggregate", "--labels", str(d / "labels.csv"),
+                   "--method", "mv", "--out", str(pred))[0] == 0
+        rows = pred.read_text().splitlines()
+        item = rows[1].split(",")[0]
+        pred.write_text("\n".join(rows + [f"{item},0"]) + "\n")
+        code, out, err = run(capsys, "eval", "--labels", str(d / "labels.csv"),
+                             "--predictions", str(pred), "--truth", str(d / "truth.csv"))
+        assert code == 1
+        assert out == ""
+        assert f"pred.csv:{len(rows) + 1}: duplicate prediction for item {item!r}" in err

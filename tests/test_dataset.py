@@ -112,6 +112,25 @@ class TestLoadLabels:
         with pytest.raises(ParseError, match=":3:"):
             load_labels(path)
 
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        path = write(tmp_path, "l.csv", "question,worker,answer\nq1,w1,0\n\n"
+                     "q2,w1,99999999999999999999\nq3,w1,1\nq4,w1,99999999999999999999\n")
+        with pytest.raises(ValidationError,
+                           match=r"l\.csv:4: integer label '99999999999999999999'"):
+            load_labels(path)
+
+    def test_label_beyond_int64_after_repeated_pair(self, tmp_path):
+        path = write(tmp_path, "l.csv", "question,worker,answer\nq1,w1,0\nq1,w1,1\n"
+                     "q2,w1,99999999999999999999\n")
+        with pytest.raises(ValidationError, match=":3: duplicate"):
+            load_labels(path)
+
+    def test_label_beyond_int64_before_malformed_row(self, tmp_path):
+        path = write(tmp_path, "l.csv", "question,worker,answer\n"
+                     "q1,w1,18446744073709551616\nq2,w1\n")
+        with pytest.raises(ValidationError, match=":2: integer label"):
+            load_labels(path)
+
     def test_padding_crlf_and_bom(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_bytes("\ufeffquestion,worker,answer\r\n q1 ,w1\t, 2\r\n\r\nq2,w1,0\r\n"
@@ -221,6 +240,10 @@ class TestFromTriples:
     def test_records_must_be_triples(self):
         with pytest.raises(ValidationError, match="triples"):
             LabelMatrix.from_triples([("q0", "w0", "0"), ("q1", "w0", "0", "extra")])
+
+    def test_label_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError, match="integer label '9223372036854775808'"):
+            LabelMatrix.from_triples([("q0", "w0", "1"), ("q1", "w0", "9223372036854775808")])
 
     def test_string_labels_reject_class_override(self):
         with pytest.raises(ValidationError):

@@ -2,8 +2,8 @@
 
 Each invariant is exercised over seeded synthetic instances: range
 preservation and the minimum-weight guarantee at every iteration,
-exact-bit determinism and permutation equivariance, and label-swap
-symmetry of the binary model.
+exact-bit determinism, permutation equivariance and independence of
+the label row order, and label-swap symmetry of the binary model.
 """
 
 import numpy as np
@@ -110,6 +110,25 @@ class TestSymmetries:
         assert np.array_equal(base.score_matrix, moved.score_matrix[:, item_perm])
         assert np.array_equal(base.hard_labels, moved.hard_labels[item_perm])
         assert np.array_equal(base.worker_weights, moved.worker_weights[worker_perm])
+        for a, b in zip(base.per_class, moved.per_class):
+            assert np.array_equal(a.nll_trace, b.nll_trace)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_order_irrelevant_bit_identical(self, seed):
+        matrix = random_instance(seed, num_classes=3)
+        order = np.random.default_rng(seed + 200).permutation(matrix.num_labels)
+        shuffled = LabelMatrix(
+            items=matrix.items[order], workers=matrix.workers[order],
+            labels=matrix.labels[order],
+            num_items=matrix.num_items, num_workers=matrix.num_workers,
+            num_classes=matrix.num_classes, item_ids=matrix.item_ids,
+            worker_ids=matrix.worker_ids, label_names=matrix.label_names,
+        )
+        hp = PROFILES["av15-adjusted"]
+        base = aggregate_multiclass(matrix, hp)
+        moved = aggregate_multiclass(shuffled, hp)
+        assert np.array_equal(base.score_matrix, moved.score_matrix)
+        assert np.array_equal(base.worker_weights, moved.worker_weights)
         for a, b in zip(base.per_class, moved.per_class):
             assert np.array_equal(a.nll_trace, b.nll_trace)
 
