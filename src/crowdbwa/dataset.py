@@ -403,12 +403,14 @@ def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
 
 def save_labels(matrix: LabelMatrix, path) -> None:
     """Write ``matrix`` in the label file format, preserving triple order."""
+    columns = [
+        np.array(names, dtype=object)[codes].tolist()
+        for names, codes in ((matrix.item_ids, matrix.items),
+                             (matrix.worker_ids, matrix.workers),
+                             (matrix.label_names, matrix.labels))
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LABELS_HEADER + "\n")
-        for i, j, k in zip(matrix.items, matrix.workers, matrix.labels):
-            fh.write(
-                f"{matrix.item_ids[i]},{matrix.worker_ids[j]},{matrix.label_names[k]}\n"
-            )
+        fh.write("\n".join([LABELS_HEADER, *map(",".join, zip(*columns))]) + "\n")
 
 
 def save_truth(truth: GroundTruth, matrix: LabelMatrix, path) -> None:

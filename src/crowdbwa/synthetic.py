@@ -11,12 +11,18 @@ language:
   (all mod 2^64)
 * uniform double: top 53 bits, ``(z >> 11) * 2^-53``
 
-Draw order is fixed: first one accuracy per worker (skipped when
-explicit confusion matrices are supplied), then per item in index order
-one truth draw, ``redundancy`` worker-selection draws (partial
-Fisher-Yates over the worker range), and finally one label draw per
-assigned worker in ascending worker order. Categorical draws invert the
-cumulative distribution with a linear scan.
+Draw n (counting from 0) is a pure function of ``seed + (n + 1) *
+0x9E3779B97F4A7C15 (mod 2^64)``, so ``generate`` computes all of its
+draws at once as one uint64 array. Draw offsets are fixed: symmetric
+specs use draws ``[0, W)`` for the worker accuracies,
+``lo + u * (hi - lo)``; explicit confusion matrices use none. After
+that offset ``off``, item i uses the ``1 + 2r`` draws from
+``off + i * (1 + 2r)``: one truth draw, ``r`` worker-selection draws
+(a partial Fisher-Yates over the worker range whose step t swaps in
+position ``t + floor(u * (W - t))``), then one label draw per assigned
+worker in ascending worker order. A categorical draw from a cumulative
+distribution ``cdf`` of length K is the count of entries of ``cdf``
+that are ``<= u``, clipped to K - 1.
 """
 
 from __future__ import annotations
@@ -93,8 +99,9 @@ class SynthSpec:
             )
         if self.class_prior is not None:
             prior = np.asarray(self.class_prior, dtype=np.float64)
-            if prior.shape != (self.num_classes,) or np.any(prior < 0):
-                raise ValueError("class_prior must be a non-negative vector of length K")
+            valid = np.isfinite(prior) & (prior >= 0)
+            if prior.shape != (self.num_classes,) or not valid.all():
+                raise ValueError("class_prior must be a finite non-negative vector of length K")
             if abs(float(prior.sum()) - 1.0) > 1e-9:
                 raise ValueError("class_prior must sum to 1")
         if self.confusion is not None:
@@ -102,8 +109,9 @@ class SynthSpec:
             expected = (self.num_workers, self.num_classes, self.num_classes)
             if conf.shape != expected:
                 raise ValueError(f"confusion must have shape {expected}")
-            if np.any(conf < 0) or np.any(np.abs(conf.sum(axis=2) - 1.0) > 1e-9):
-                raise ValueError("confusion rows must be distributions")
+            valid = np.isfinite(conf) & (conf >= 0)
+            if not valid.all() or np.any(np.abs(conf.sum(axis=2) - 1.0) > 1e-9):
+                raise ValueError("confusion rows must be finite distributions")
         else:
             lo, hi = self.accuracy_range
             if not 0.0 <= lo <= hi <= 1.0:
@@ -125,18 +133,34 @@ def draw_worker_confusions(spec: SynthSpec) -> np.ndarray:
     """
     if spec.confusion is not None:
         return np.asarray(spec.confusion, dtype=np.float64)
-    return _draw_confusions(spec, SplitMix64(spec.seed))
+    return _draw_confusions(spec, _uniforms(spec.seed, 0, spec.num_workers))
 
 
-def _draw_confusions(spec: SynthSpec, rng: SplitMix64) -> np.ndarray:
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms ``start`` to ``start + count - 1`` of the SplitMix64
+    stream of ``seed``, equal bit for bit to ``SplitMix64.uniform``.
+
+    The arithmetic stays on arrays, which wrap mod 2^64; numpy scalar
+    uint64 arithmetic would warn on overflow instead.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _draw_confusions(spec: SynthSpec, u: np.ndarray) -> np.ndarray:
+    """Symmetric confusions from one accuracy uniform per worker."""
     lo, hi = spec.accuracy_range
     k = spec.num_classes
-    conf = np.empty((spec.num_workers, k, k))
-    for j in range(spec.num_workers):
-        acc = lo + rng.uniform() * (hi - lo)
-        off = (1.0 - acc) / (k - 1) if k > 1 else 0.0
-        conf[j] = np.full((k, k), off)
-        np.fill_diagonal(conf[j], acc if k > 1 else 1.0)
+    acc = lo + u * (hi - lo)
+    conf = np.repeat((1.0 - acc) / max(k - 1, 1), k * k).reshape(spec.num_workers, k, k)
+    conf[:, np.arange(k), np.arange(k)] = acc[:, None] if k > 1 else 1.0
     return conf
 
 
@@ -147,41 +171,59 @@ def generate(spec: SynthSpec) -> tuple[LabelMatrix, GroundTruth]:
     indices coincide with the generation indices because the full id
     universes are passed through. Fully reproducible from the seed.
     """
-    rng = SplitMix64(spec.seed)
-    if spec.confusion is None:
-        confusion = _draw_confusions(spec, rng)
-    else:
-        confusion = np.asarray(spec.confusion, dtype=np.float64)
+    n, w, k, r = spec.num_items, spec.num_workers, spec.num_classes, spec.redundancy
+    confusion = draw_worker_confusions(spec)
+    offset = w if spec.confusion is None else 0
+    draws = _uniforms(spec.seed, offset, n * (1 + 2 * r)).reshape(n, 1 + 2 * r)
 
     prior_cdf = np.cumsum(spec.prior_vector())
-    label_cdfs = np.cumsum(confusion, axis=2)
+    truth = np.minimum(np.searchsorted(prior_cdf, draws[:, 0], side="right"), k - 1)
+    picks = _pick_workers(draws[:, 1:1 + r], w)
 
-    records = []
-    truth: dict[int, int] = {}
-    for i in range(spec.num_items):
-        true_class = rng.categorical(prior_cdf)
-        truth[i] = true_class
-        chosen = sorted(_sample_distinct(rng, spec.num_workers, spec.redundancy))
-        for j in chosen:
-            label = rng.categorical(label_cdfs[j, true_class])
-            records.append((f"q{i}", f"w{j}", str(label)))
+    # Rows of the flattened (worker, true class) label CDFs. Each CDF is
+    # non-decreasing, so counting its first k - 1 entries <= u gives the
+    # first class whose cumulative mass exceeds u, or k - 1 if none does.
+    cdf_rows = picks * k + truth[:, None]
+    label_cdfs = np.cumsum(confusion, axis=2).reshape(w * k, k)
+    labels = np.zeros((n, r), dtype=np.int64)
+    for c in range(k - 1):
+        labels += label_cdfs[cdf_rows, c] <= draws[:, 1 + r:]
 
-    matrix = LabelMatrix.from_triples(
-        records,
-        item_ids=[f"q{i}" for i in range(spec.num_items)],
-        worker_ids=[f"w{j}" for j in range(spec.num_workers)],
-        num_classes=spec.num_classes,
+    matrix = LabelMatrix(
+        np.repeat(np.arange(n, dtype=np.int64), r), picks.ravel(), labels.ravel(),
+        n, w, k,
+        tuple(f"q{i}" for i in range(n)),
+        tuple(f"w{j}" for j in range(w)),
+        tuple(map(str, range(k))),
     )
-    return matrix, GroundTruth(mapping=truth)
+    return matrix, GroundTruth(mapping=dict(enumerate(truth.tolist())))
 
 
-def _sample_distinct(rng: SplitMix64, population: int, count: int) -> list[int]:
-    """``count`` distinct integers from [0, population), by partial
-    Fisher-Yates over a virtual identity array."""
-    replacements: dict[int, int] = {}
-    out = []
+def _pick_workers(u: np.ndarray, population: int) -> np.ndarray:
+    """Per row of ``u``, ``u.shape[1]`` distinct integers from
+    [0, population) in ascending order.
+
+    Each row runs a partial Fisher-Yates over a virtual identity array:
+    step t swaps position t with ``t + floor(u[:, t] * (population - t))``
+    and picks the value that lands at t. ``keys[:, s]`` and ``vals[:, s]``
+    record the position step s wrote and the value it wrote there; a
+    position holds its latest write, or itself if never written.
+    """
+    n, count = u.shape
+    keys = np.empty((n, count), dtype=np.int64)
+    vals = np.empty((n, count), dtype=np.int64)
+    picks = np.empty((n, count), dtype=np.int64)
     for t in range(count):
-        idx = t + rng.below(population - t)
-        out.append(replacements.get(idx, idx))
-        replacements[idx] = replacements.get(t, t)
-    return out
+        target = t + (u[:, t] * (population - t)).astype(np.int64)
+        # the values now at the swap target and at position t
+        current = np.stack([target, np.full(n, t, dtype=np.int64)], axis=1)
+        if t:
+            hit = keys[:, None, :t] == current[:, :, None]
+            last = t - 1 - np.argmax(hit[:, :, ::-1], axis=2)
+            written = np.take_along_axis(keys, last, axis=1) == current
+            current = np.where(written, np.take_along_axis(vals, last, axis=1), current)
+        picks[:, t] = current[:, 0]
+        keys[:, t] = target
+        vals[:, t] = current[:, 1]
+    picks.sort(axis=1)
+    return picks

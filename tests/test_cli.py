@@ -1,5 +1,6 @@
 """End-to-end behaviour of the command-line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -47,6 +48,34 @@ class TestSynth:
         assert run(capsys, *args, "--out-labels", str(lb), "--out-truth", str(tb))[0] == 0
         assert la.read_bytes() == lb.read_bytes()
         assert ta.read_bytes() == tb.read_bytes()
+
+    @pytest.mark.parametrize("argv, labels_sha, truth_sha", [
+        (["--items", "1000", "--workers", "50", "--k", "2", "--redundancy", "5",
+          "--seed", "7"],
+         "bb52bc46162c5a75c69fa48af7108430f9c6760b2d967b0209d65c93f32f2458",
+         "034000d42f6410a027d730c9d67c67392fd2b56d7237c77c7e882f3e50b19e4a"),
+        (["--items", "500", "--workers", "30", "--k", "4", "--redundancy", "7",
+          "--seed", "123", "--class-prior", "0.4,0.3,0.2,0.1",
+          "--accuracy-min", "0.3", "--accuracy-max", "0.9"],
+         "3264b234484fb981593c3f5a156ba972b55b2f7c951e68a0441479069b7104d7",
+         "3e0d9aa3032aa207ac6ad8f5cc6a5d9c4029f03f0d6c615c940c2a74698b4ce5"),
+    ])
+    def test_pinned_output_bytes(self, tmp_path, capsys, argv, labels_sha, truth_sha):
+        labels, truth = tmp_path / "l.csv", tmp_path / "t.csv"
+        code, _, _ = run(capsys, "synth", *argv,
+                         "--out-labels", str(labels), "--out-truth", str(truth))
+        assert code == 0
+        assert hashlib.sha256(labels.read_bytes()).hexdigest() == labels_sha
+        assert hashlib.sha256(truth.read_bytes()).hexdigest() == truth_sha
+
+    def test_nan_class_prior_fails(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth", "--items", "5", "--workers", "3", "--redundancy", "2",
+            "--class-prior", "nan,nan",
+            "--out-labels", str(tmp_path / "l.csv"), "--out-truth", str(tmp_path / "t.csv"),
+        )
+        assert code == 1
+        assert "class_prior" in err
 
 
 class TestAggregate:

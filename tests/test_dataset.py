@@ -14,6 +14,7 @@ from crowdbwa.dataset import (
     save_truth,
     vote_counts,
 )
+from crowdbwa.synthetic import SynthSpec, generate
 
 
 def write(tmp_path, name, text):
@@ -151,6 +152,27 @@ class TestRoundTrip:
         out = tmp_path / "roundtrip.csv"
         save_labels(original, out)
         assert load_labels(out) == original
+
+    @pytest.mark.parametrize("matrix", [
+        generate(SynthSpec(num_items=300, num_workers=20, num_classes=3, redundancy=4,
+                           seed=2))[0],
+        LabelMatrix.from_triples(
+            [("é1", "wörker", "ja"), ("q 2", "wörker", "nein"), ("é1", "w2", "vielleicht"),
+             ("問題", "w2", "ja")],
+            item_ids=["問題", "unlabelled", "é1", "q 2", "also unlabelled"],
+            worker_ids=["idle", "w2", "wörker"],
+        ),
+    ], ids=["generated", "unicode-ids"])
+    def test_save_labels_matches_row_writer(self, tmp_path, matrix):
+        # the row-at-a-time writer that the joined write replaced
+        with open(tmp_path / "rows.csv", "w", encoding="utf-8") as fh:
+            fh.write("question,worker,answer\n")
+            for i, j, k in zip(matrix.items, matrix.workers, matrix.labels):
+                fh.write(
+                    f"{matrix.item_ids[i]},{matrix.worker_ids[j]},{matrix.label_names[k]}\n"
+                )
+        save_labels(matrix, tmp_path / "joined.csv")
+        assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_truth_round_trip(self, tmp_path):
         m = load_labels(write(tmp_path, "l.csv",

@@ -4,9 +4,138 @@ import numpy as np
 import pytest
 
 from crowdbwa.baselines import majority_vote
-from crowdbwa.dataset import load_labels, load_truth, save_labels, save_truth
+from crowdbwa.dataset import LabelMatrix, load_labels, load_truth, save_labels, save_truth
 from crowdbwa.evaluation import accuracy
 from crowdbwa.synthetic import SplitMix64, SynthSpec, draw_worker_confusions, generate
+
+
+# The scalar generator that the array implementation replaced, kept as the
+# reference: one SplitMix64 draw at a time, categoricals by linear scan, worker
+# picks by a partial Fisher-Yates over a dict of swapped positions.
+def _reference_confusions(spec, rng):
+    lo, hi = spec.accuracy_range
+    k = spec.num_classes
+    conf = np.empty((spec.num_workers, k, k))
+    for j in range(spec.num_workers):
+        acc = lo + rng.uniform() * (hi - lo)
+        off = (1.0 - acc) / (k - 1) if k > 1 else 0.0
+        conf[j] = np.full((k, k), off)
+        np.fill_diagonal(conf[j], acc if k > 1 else 1.0)
+    return conf
+
+
+def _reference_sample_distinct(rng, population, count):
+    replacements = {}
+    out = []
+    for t in range(count):
+        idx = t + rng.below(population - t)
+        out.append(replacements.get(idx, idx))
+        replacements[idx] = replacements.get(t, t)
+    return out
+
+
+def _reference_generate(spec):
+    rng = SplitMix64(spec.seed)
+    if spec.confusion is None:
+        confusion = _reference_confusions(spec, rng)
+    else:
+        confusion = np.asarray(spec.confusion, dtype=np.float64)
+    prior_cdf = np.cumsum(spec.prior_vector())
+    label_cdfs = np.cumsum(confusion, axis=2)
+    records = []
+    truth = {}
+    for i in range(spec.num_items):
+        true_class = rng.categorical(prior_cdf)
+        truth[i] = true_class
+        chosen = sorted(_reference_sample_distinct(rng, spec.num_workers, spec.redundancy))
+        for j in chosen:
+            label = rng.categorical(label_cdfs[j, true_class])
+            records.append((f"q{i}", f"w{j}", str(label)))
+    matrix = LabelMatrix.from_triples(
+        records,
+        item_ids=[f"q{i}" for i in range(spec.num_items)],
+        worker_ids=[f"w{j}" for j in range(spec.num_workers)],
+        num_classes=spec.num_classes,
+    )
+    return matrix, truth
+
+
+def _dirichlet_confusion(seed, workers, k):
+    return np.random.default_rng(seed).dirichlet(np.ones(k), size=(workers, k))
+
+
+def _seed_for_draw(n, z):
+    """The seed whose draw n (counting from 0) outputs the uint64 ``z``,
+    by inverting the SplitMix64 output mix."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):  # inverse of x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    state = unshift(z, 30)
+    return (state - (n + 1) * 0x9E3779B97F4A7C15) & mask
+
+
+_HALF = 1 << 63  # uniform 0.5 exactly
+_TOP = (1 << 64) - 1  # uniform 1 - 2^-53, the largest draw
+
+
+def _random_spec(case):
+    rng = np.random.default_rng([31, case])
+    workers = int(rng.integers(1, 13))
+    k = int(rng.integers(1, 6))
+    kwargs = dict(num_items=int(rng.integers(1, 41)), num_workers=workers,
+                  num_classes=k, redundancy=int(rng.integers(1, workers + 1)),
+                  seed=int(rng.integers(-2**63, 2**63)))
+    if case % 3 == 1:
+        kwargs["class_prior"] = tuple(rng.dirichlet(np.ones(k)))
+    if case % 4 == 2:
+        kwargs["confusion"] = _dirichlet_confusion(case, workers, k)
+    else:
+        lo, hi = sorted(rng.uniform(0.0, 1.0, size=2))
+        kwargs["accuracy_range"] = (float(lo), float(hi))
+    return SynthSpec(**kwargs)
+
+
+_REFERENCE_SPECS = [
+    SynthSpec(num_items=60, num_workers=7, num_classes=3, redundancy=3, seed=4,
+              confusion=_dirichlet_confusion(4, 7, 3)),
+    SynthSpec(num_items=80, num_workers=9, num_classes=3, redundancy=4, seed=8,
+              class_prior=(0.5, 0.0, 0.5)),
+    SynthSpec(num_items=80, num_workers=6, num_classes=4, redundancy=2, seed=9,
+              class_prior=(0.7, 0.2, 0.1, 0.0)),
+    SynthSpec(num_items=100, num_workers=12, num_classes=10, redundancy=5, seed=10,
+              class_prior=(0.1,) * 10),
+    SynthSpec(num_items=30, num_workers=5, num_classes=1, redundancy=2, seed=12),
+    SynthSpec(num_items=30, num_workers=4, num_classes=1, redundancy=4, seed=13,
+              confusion=np.ones((4, 1, 1))),
+    SynthSpec(num_items=50, num_workers=10, num_classes=2, redundancy=1, seed=14),
+    SynthSpec(num_items=6, num_workers=300, num_classes=3, redundancy=300, seed=15),
+    SynthSpec(num_items=1, num_workers=20, num_classes=2, redundancy=7, seed=16),
+    SynthSpec(num_items=40, num_workers=8, num_classes=3, redundancy=3, seed=17,
+              accuracy_range=(1.0, 1.0)),
+    SynthSpec(num_items=40, num_workers=8, num_classes=2, redundancy=3, seed=-3),
+    SynthSpec(num_items=40, num_workers=8, num_classes=4, redundancy=5, seed=2**64 - 5),
+    # A draw equal to a CDF entry picks the next class; a draw at or above
+    # a last entry below 1 (ten 0.1s sum to 1 - 2^-53) picks the last class.
+    SynthSpec(num_items=1, num_workers=1, num_classes=2, redundancy=1,
+              seed=_seed_for_draw(0, _HALF), class_prior=(0.5, 0.5),
+              confusion=np.full((1, 2, 2), 0.5)),
+    SynthSpec(num_items=1, num_workers=1, num_classes=2, redundancy=1,
+              seed=_seed_for_draw(2, _HALF), confusion=np.full((1, 2, 2), 0.5)),
+    SynthSpec(num_items=1, num_workers=1, num_classes=10, redundancy=1,
+              seed=_seed_for_draw(0, _TOP), class_prior=(0.1,) * 10,
+              confusion=np.full((1, 10, 10), 0.1)),
+    SynthSpec(num_items=1, num_workers=1, num_classes=10, redundancy=1,
+              seed=_seed_for_draw(2, _TOP), confusion=np.full((1, 10, 10), 0.1)),
+    SynthSpec(num_items=2, num_workers=5, num_classes=3, redundancy=5,
+              seed=_seed_for_draw(5 + 3 + 2, _TOP)),
+] + [_random_spec(case) for case in range(20)]
 
 
 class TestSplitMix64:
@@ -54,6 +183,20 @@ class TestSpecValidation:
     def test_bad_confusion_rows(self):
         conf = np.full((2, 2, 2), 0.4)
         with pytest.raises(ValueError):
+            SynthSpec(num_items=5, num_workers=2, num_classes=2, redundancy=1,
+                      confusion=conf)
+
+    @pytest.mark.parametrize("prior", [(np.nan, np.nan), (np.nan, 1.0), (np.inf, 0.0)])
+    def test_non_finite_prior(self, prior):
+        with pytest.raises(ValueError, match="finite"):
+            SynthSpec(num_items=5, num_workers=5, num_classes=2, redundancy=2,
+                      class_prior=prior)
+
+    @pytest.mark.parametrize("entry", [slice(None), (1, 0, 1)])
+    def test_non_finite_confusion(self, entry):
+        conf = np.tile(np.eye(2), (2, 1, 1))
+        conf[entry] = np.nan
+        with pytest.raises(ValueError, match="finite"):
             SynthSpec(num_items=5, num_workers=2, num_classes=2, redundancy=1,
                       confusion=conf)
 
@@ -140,6 +283,24 @@ class TestGenerate:
             np.repeat(np.array(expected)[:, None], 3, axis=1), rel=1e-12
         )
         assert conf.sum(axis=2) == pytest.approx(np.ones((4, 3)), rel=1e-12)
+
+    def test_seed_for_draw_inverts_the_stream(self):
+        rng = SplitMix64(_seed_for_draw(3, 0x0123456789ABCDEF))
+        assert [rng.next_uint64() for _ in range(4)][3] == 0x0123456789ABCDEF
+
+    @pytest.mark.parametrize("spec", _REFERENCE_SPECS)
+    def test_matches_scalar_reference(self, spec):
+        matrix, truth = generate(spec)
+        want_matrix, want_truth = _reference_generate(spec)
+        assert matrix == want_matrix
+        for arr in (matrix.items, matrix.workers, matrix.labels):
+            assert arr.dtype == np.int64
+        assert truth.mapping == want_truth
+        assert all(type(key) is int and type(value) is int
+                   for key, value in truth.mapping.items())
+        if spec.confusion is None:
+            assert np.array_equal(draw_worker_confusions(spec),
+                                  _reference_confusions(spec, SplitMix64(spec.seed)))
 
     def test_written_files_reload(self, tmp_path):
         spec = SynthSpec(num_items=30, num_workers=6, num_classes=2, redundancy=3, seed=5)
