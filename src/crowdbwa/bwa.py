@@ -21,12 +21,16 @@ Multi-class tasks are handled one-versus-rest: the binary model scores
 each class against the rest and the highest-scoring class wins.
 
 No reduction depends on the order of its summands: whole-array sums are
-exact (``math.fsum``), and per-worker and per-item sums are pre-rounded
-onto a power-of-two grid on which ``np.bincount`` adds without rounding
-(see ``_exact_sums``). Each sum is thus a function of the multiset of
-its summands, so repeated runs are bit-identical, relabelling items or
-workers permutes every output without perturbing a single bit, and the
-order of the label rows does not matter either.
+correctly rounded (``_exact_total``, bit for bit ``math.fsum``), and
+per-worker and per-item sums are pre-rounded onto a power-of-two grid on
+which ``np.bincount`` adds without rounding (see ``_exact_sums``). Each
+sum is thus a function of the multiset of its summands, so repeated runs
+are bit-identical, relabelling items or workers permutes every output
+without perturbing a single bit, and the order of the label rows does
+not matter either. Every summand of those grouped sums is an entry of a
+small table gathered per label (a worker's ``E[v_j]``, or one of an
+item's two squared residuals ``z_i**2`` and ``(z_i - 1)**2``), so the
+rounding is done on the table, once per entry, not once per label.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from .dataset import BinaryView, LabelMatrix, binary_view, vote_counts
 REL_DIFF_FLOOR = 1e-8
 
 EPSILON_STRATEGIES = ("original", "adjusted", "fixed")
+
+#: The one-versus-rest label values, as a column against a row of z.
+_LABEL_VALUES = np.array([[0.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,11 @@ class MultiClassResult:
 # ---------------------------------------------------------------------------
 
 
-def _exact_sums(x, groups, num_groups: int, max_group_size: int) -> np.ndarray:
-    """Per-group sums of ``x`` that do not depend on the summation order.
+def _exact_sums(table, used, index, groups, num_groups: int,
+                max_group_size: int) -> np.ndarray:
+    """Per-group sums of ``x = table[index]`` that do not depend on the order.
+
+    Summand ``n`` is ``table[index[n]]`` and belongs to group ``groups[n]``.
 
     Pre-rounded summation (Demmel & Nguyen, "Fast Reproducible
     Floating-Point Summation", ARITH 2013). Each summand is split into
@@ -157,18 +167,56 @@ def _exact_sums(x, groups, num_groups: int, max_group_size: int) -> np.ndarray:
     ``max_group_size**2 * 2**-102 * max|x|`` per summand. The grid never
     drops below 2**-1074, the spacing of subnormal doubles, so it cannot
     underflow and subnormal summands are kept exactly.
+
+    The folds are elementwise, so they are taken once per table entry
+    and gathered per summand, which gives the same values as folding
+    ``x`` itself. ``used`` marks the entries that ``index`` refers to;
+    max|x| is taken over those alone, so unused entries leave the grid
+    where ``x`` puts it.
     """
     step = max_group_size.bit_length() - 52
-    exp = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
-    sums = np.zeros(num_groups)
-    for _ in range(2):
-        exp = max(exp + step, -1074)
-        shift = math.ldexp(1.5, exp + 52)
-        fold = x + shift
-        fold -= shift
-        sums += np.bincount(groups, fold, num_groups)
+    top = math.frexp(float(np.abs(table).max(where=used, initial=0.0)))[1]
+    exp = max(top + step, -1074)
+    fold = _round_to_grid(table, exp)
+    rest = _round_to_grid(table - fold, max(exp + step, -1074))
+    return (np.bincount(groups, fold[index], num_groups)
+            + np.bincount(groups, rest[index], num_groups))
+
+
+def _round_to_grid(x, exp: int) -> np.ndarray:
+    """``x`` rounded to multiples of ``2**exp``, for ``|x| < 2**(exp + 51)``."""
+    shift = math.ldexp(1.5, exp + 52)
+    out = x + shift
+    out -= shift
+    return out
+
+
+#: Up to this many summands ``math.fsum`` is faster than ``_exact_total``'s folds.
+_FSUM_MAX_SIZE = 512
+
+
+def _exact_total(x) -> float:
+    """``math.fsum(x)``, without a Python float per element.
+
+    ``x`` is peeled into folds on power-of-two grids, as in
+    ``_exact_sums``, until nothing is left; each fold's ``np.sum`` is
+    exact, so ``math.fsum`` of those few partial sums is the correctly
+    rounded sum of ``x``, bit for bit what ``math.fsum`` returns. Small,
+    huge or non-finite arrays go to ``math.fsum`` directly.
+    """
+    if x.size <= _FSUM_MAX_SIZE:
+        return math.fsum(x.tolist())
+    top = max(float(x.max()), -float(x.min()))
+    if not top < 2.0**960:
+        return math.fsum(x.tolist())
+    step = x.size.bit_length() - 52
+    partials = []
+    while top > 0.0:
+        fold = _round_to_grid(x, max(math.frexp(top)[1] + step, -1074))
+        partials.append(float(fold.sum()))
         x = x - fold
-    return sums
+        top = max(float(x.max()), -float(x.min()))
+    return math.fsum(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +242,7 @@ def estimate_error_rate(matrix: LabelMatrix, epsilon_floor: float = 1e-6) -> flo
     counts = counts[labelled]
     totals_l = totals[labelled]
     per_cell = counts * (totals_l[:, None] - counts) / totals_l[:, None]
-    raw = math.fsum(per_cell.ravel().tolist()) / (matrix.num_classes * totals_l.sum())
+    raw = _exact_total(per_cell.ravel()) / (matrix.num_classes * totals_l.sum())
     return max(raw, epsilon_floor)
 
 
@@ -253,10 +301,12 @@ def _check_resolved(hp: BwaHyperParams) -> None:
 
 def _expectation(z, view: BinaryView, hp) -> tuple[np.ndarray, np.ndarray]:
     """(SSE_j, E[v_j]) for every worker at truth estimates ``z``."""
-    residuals = z[view.items] - view.y
+    # the squared residual of a label y on item i: z_i**2, then (z_i - 1)**2
+    table = z - _LABEL_VALUES
+    table *= table
     n_j = view.labels_per_worker
-    sse = _exact_sums(residuals * residuals, view.workers, view.num_workers,
-                      view.matrix.max_labels_per_worker)
+    sse = _exact_sums(table.ravel(), view.residual_used, view.residual_index,
+                      view.workers, view.num_workers, view.matrix.max_labels_per_worker)
     # Each squared residual is <= 1, so SSE_j <= |N_j|; clamp away any
     # overshoot from the last bits the sums drop, to preserve the
     # minimum-weight guarantee E[v_j] >= 1 when b_v <= a_v.
@@ -268,9 +318,9 @@ def _expectation(z, view: BinaryView, hp) -> tuple[np.ndarray, np.ndarray]:
 def _objective(z, mu, sse, view: BinaryView, hp) -> float:
     """Negative log likelihood at (z, mu), additive constant dropped."""
     dev = z - mu
-    item_term = 0.5 * hp.lam * math.fsum((dev * dev).tolist())
-    worker_term = math.fsum(
-        (0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)).tolist()
+    item_term = 0.5 * hp.lam * _exact_total(dev * dev)
+    worker_term = _exact_total(
+        0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)
     )
     return item_term + worker_term
 
@@ -291,7 +341,7 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
         view.positives_per_item / np.maximum(totals, 1),
         0.5,
     )
-    mu = math.fsum(z.tolist()) / view.num_items
+    mu = _exact_total(z) / view.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
     return BwaState(z=z, mu=mu, eqv=eqv, sse=sse, nll=nll, iteration=0)
@@ -316,15 +366,18 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     new ``z``. Updating sequentially keeps the objective non-increasing.
     """
     _check_resolved(hp)
-    w = state.eqv[view.workers]
-    size = view.matrix.max_labels_per_item
-    den = _exact_sums(w, view.items, view.num_items, size)
-    num = _exact_sums(w * view.y, view.items, view.num_items, size)
+    eqv, size = state.eqv, view.matrix.max_labels_per_item
+    den = _exact_sums(eqv, view.worker_has_label, view.workers, view.items,
+                      view.num_items, size)
+    # only labels y = 1 add to the numerator
+    focal_items, focal_workers = view.focal_rows
+    num = _exact_sums(eqv, view.worker_has_focal, focal_workers, focal_items,
+                      view.num_items, size)
     z = (hp.lam * state.mu + num) / (hp.lam + den)
     # z is a convex combination of mu and {0,1} labels; clip the odd
     # one-ulp division overshoot so the [0,1] range invariant is exact.
     np.clip(z, 0.0, 1.0, out=z)
-    mu = math.fsum(z.tolist()) / view.num_items
+    mu = _exact_total(z) / view.num_items
     return replace(state, z=z, mu=mu)
 
 

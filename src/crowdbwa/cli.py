@@ -147,10 +147,10 @@ def _hyper_params(args) -> BwaHyperParams:
 
 
 def _write_predictions(path, matrix, labels) -> None:
+    names = np.array(matrix.label_names, dtype=object)[labels].tolist()
+    rows = map(",".join, zip(matrix.item_ids, names))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("question,label\n")
-        for i, k in enumerate(labels):
-            fh.write(f"{matrix.item_ids[i]},{matrix.label_names[k]}\n")
+        fh.write("\n".join(["question,label", *rows]) + "\n")
 
 
 def cmd_aggregate(args) -> int:
@@ -199,13 +199,10 @@ def cmd_aggregate(args) -> int:
 
 
 def _write_worker_diagnostics(path, matrix, weights) -> None:
+    rows = map("{},{!r},{!r}".format, matrix.worker_ids, weights.tolist(),
+               worker_accuracy(weights).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("worker,weight,accuracy\n")
-        for j, weight in enumerate(weights):
-            fh.write(
-                f"{matrix.worker_ids[j]},{float(weight)!r},"
-                f"{float(worker_accuracy(float(weight)))!r}\n"
-            )
+        fh.write("\n".join(["worker,weight,accuracy", *rows]) + "\n")
 
 
 def _parse_method_token(token: str):

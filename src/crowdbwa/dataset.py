@@ -289,12 +289,55 @@ class BinaryView:
     @cached_property
     def positives_per_item(self) -> np.ndarray:
         """Per item, how many workers voted for the focal class."""
-        pos = np.bincount(
-            self.items[self.matrix.labels == self.focal_class],
-            minlength=self.num_items,
-        )
+        pos = np.bincount(self.focal_rows[0], minlength=self.num_items)
         pos.setflags(write=False)
         return pos
+
+    @cached_property
+    def focal_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(items, workers) of the triples labelled with the focal class."""
+        focal = self.matrix.labels == self.focal_class
+        rows = self.items[focal], self.workers[focal]
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
+
+    @cached_property
+    def residual_index(self) -> np.ndarray:
+        """Per triple, ``item + num_items * y``.
+
+        The position of the triple's squared residual in a per-item table
+        laid out as ``[z**2, (z - 1)**2]``.
+        """
+        index = self.items + self.num_items * (self.matrix.labels == self.focal_class)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
+    def residual_used(self) -> np.ndarray:
+        """Which entries of that table ``residual_index`` refers to.
+
+        Items with a label other than the focal class, then items with
+        the focal class.
+        """
+        pos = self.positives_per_item
+        used = np.concatenate((self.labels_per_item > pos, pos > 0))
+        used.setflags(write=False)
+        return used
+
+    @cached_property
+    def worker_has_label(self) -> np.ndarray:
+        """Per worker, whether they labelled any item."""
+        used = self.labels_per_worker > 0
+        used.setflags(write=False)
+        return used
+
+    @cached_property
+    def worker_has_focal(self) -> np.ndarray:
+        """Per worker, whether they gave the focal class to any item."""
+        used = np.bincount(self.focal_rows[1], minlength=self.num_workers) > 0
+        used.setflags(write=False)
+        return used
 
 
 def vote_counts(matrix: LabelMatrix) -> VoteCounts:

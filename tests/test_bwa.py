@@ -14,7 +14,9 @@ from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
     PROFILES,
     BwaHyperParams,
+    _FSUM_MAX_SIZE,
     _exact_sums,
+    _exact_total,
     adjust_error_rate,
     aggregate_multiclass,
     derive_bv,
@@ -52,6 +54,86 @@ def empty_matrix(num_items=1, num_classes=2):
         worker_ids=(),
         label_names=tuple(str(k) for k in range(num_classes)),
     )
+
+
+# The gather-then-split EM that folding per-worker and per-item tables
+# replaced, kept as the reference: every reduction splits the per-label
+# summands themselves, and whole-array sums go through math.fsum.
+def _reference_exact_sums(x, groups, num_groups, max_group_size):
+    step = max_group_size.bit_length() - 52
+    exp = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    sums = np.zeros(num_groups)
+    for _ in range(2):
+        exp = max(exp + step, -1074)
+        shift = math.ldexp(1.5, exp + 52)
+        fold = x + shift
+        fold -= shift
+        sums += np.bincount(groups, fold, num_groups)
+        x = x - fold
+    return sums
+
+
+def _reference_resolve(hp, matrix):
+    counts = np.bincount(matrix.items * matrix.num_classes + matrix.labels,
+                         minlength=matrix.num_items * matrix.num_classes)
+    counts = counts.reshape(matrix.num_items, matrix.num_classes).astype(np.float64)
+    totals = counts.sum(axis=1)
+    counts, totals = counts[totals > 0], totals[totals > 0]
+    per_cell = counts * (totals[:, None] - counts) / totals[:, None]
+    raw = math.fsum(per_cell.ravel().tolist()) / (matrix.num_classes * totals.sum())
+    eps = max(raw, hp.epsilon_floor)
+    if hp.epsilon_strategy == "adjusted":
+        eps = adjust_error_rate(eps, matrix.num_classes)
+    return fixed_hp(hp.a_v, derive_bv(hp.a_v, eps, hp.epsilon_floor), lam=hp.lam,
+                    tolerance=hp.tolerance, max_iters=hp.max_iters)
+
+
+def _reference_expectation(z, view, hp):
+    residuals = z[view.items] - view.y
+    n_j = view.labels_per_worker
+    sse = _reference_exact_sums(residuals * residuals, view.workers, view.num_workers,
+                                view.matrix.max_labels_per_worker)
+    np.minimum(sse, n_j, out=sse)
+    return sse, (hp.a_v + n_j) / (hp.b_v + sse)
+
+
+def _reference_objective(z, mu, sse, view, hp):
+    dev = z - mu
+    item_term = 0.5 * hp.lam * math.fsum((dev * dev).tolist())
+    worker_term = math.fsum(
+        (0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)).tolist()
+    )
+    return item_term + worker_term
+
+
+def _reference_m_step(z, mu, eqv, view, hp):
+    w = eqv[view.workers]
+    size = view.matrix.max_labels_per_item
+    den = _reference_exact_sums(w, view.items, view.num_items, size)
+    num = _reference_exact_sums(w * view.y, view.items, view.num_items, size)
+    z = (hp.lam * mu + num) / (hp.lam + den)
+    np.clip(z, 0.0, 1.0, out=z)
+    return z, math.fsum(z.tolist()) / view.num_items
+
+
+def _reference_run_em_binary(view, hp):
+    """(scores, mu, worker weights, nll trace, converged, iterations)"""
+    totals = view.labels_per_item
+    z = np.where(totals > 0, view.positives_per_item / np.maximum(totals, 1), 0.5)
+    mu = math.fsum(z.tolist()) / view.num_items
+    sse, eqv = _reference_expectation(z, view, hp)
+    trace = [_reference_objective(z, mu, sse, view, hp)]
+    converged = False
+    for iterations in range(1, hp.max_iters + 1):
+        z_prev = z
+        z, mu = _reference_m_step(z, mu, eqv, view, hp)
+        sse, eqv = _reference_expectation(z, view, hp)
+        trace.append(_reference_objective(z, mu, sse, view, hp))
+        rel = np.abs(z - z_prev) / np.maximum(np.abs(z_prev), 1e-8)
+        if float(rel.max()) <= hp.tolerance:
+            converged = True
+            break
+    return z, mu, eqv, np.array(trace), converged, iterations
 
 
 class TestErrorRate:
@@ -306,11 +388,26 @@ class TestExactSums:
     @staticmethod
     def check(x, groups, num_groups, seed=0):
         size = int(np.bincount(groups, minlength=num_groups).max(initial=0))
-        sums = _exact_sums(x, groups, num_groups, size)
+        every = np.ones(x.size, dtype=bool)
+
+        def sums_of(x, groups):
+            # each summand its own table entry
+            return _exact_sums(x, every, np.arange(x.size), groups, num_groups, size)
+
+        sums = sums_of(x, groups)
+        assert sums.tobytes() == _reference_exact_sums(x, groups, num_groups, size).tobytes()
         rng = np.random.default_rng(seed)
         for _ in range(5):
             p = rng.permutation(x.size)
-            assert _exact_sums(x[p], groups[p], num_groups, size).tobytes() == sums.tobytes()
+            assert sums_of(x[p], groups[p]).tobytes() == sums.tobytes()
+        # the same summands gathered from a table of their distinct values,
+        # next to entries that no summand uses and that dwarf max|x|
+        values, index = np.unique(x, return_inverse=True)
+        table = np.r_[values, 1e300, -1e300]
+        used = np.r_[np.ones(values.size, dtype=bool), False, False]
+        p = rng.permutation(x.size)
+        gathered = _exact_sums(table, used, index[p], groups[p], num_groups, size)
+        assert gathered.tobytes() == sums.tobytes()
         for g in range(num_groups):
             exact = math.fsum(x[groups == g].tolist())
             assert abs(sums[g] - exact) <= 1e-15 * abs(exact)
@@ -323,8 +420,10 @@ class TestExactSums:
         assert list(sums) == [0.0, 0.75, 0.0, 0.0, 0.0]
 
     def test_no_labels(self):
-        empty = np.empty(0)
-        assert list(_exact_sums(empty, np.empty(0, dtype=np.int64), 3, 0)) == [0.0] * 3
+        empty = np.empty(0, dtype=np.int64)
+        for table in (np.empty(0), np.array([0.5, 2.0])):
+            unused = np.zeros(table.size, dtype=bool)
+            assert list(_exact_sums(table, unused, empty, empty, 3, 0)) == [0.0] * 3
 
     def test_mixed_magnitudes(self):
         rng = np.random.default_rng(7)
@@ -355,6 +454,53 @@ class TestExactSums:
         for g in range(6):
             assert sums[g] == math.fsum(x[groups == g].tolist())
         self.check(np.array([tiny, 3 * tiny, 1e-300, 2.5e-308]), np.array([0, 0, 1, 1]), 2)
+
+    def test_folded_squared_residuals_match_gathered(self):
+        # the e-step's table: [z**2, (z - 1)**2] indexed by item + N * y
+        m = generate(SynthSpec(num_items=300, num_workers=20, num_classes=3,
+                               redundancy=4, seed=5))[0]
+        z = np.random.default_rng(1).random(m.num_items)
+        for k in range(3):
+            view = binary_view(m, k)
+            residuals = z[view.items] - view.y
+            size = m.max_labels_per_worker
+            expected = _reference_exact_sums(residuals * residuals, view.workers,
+                                             m.num_workers, size)
+            table = np.r_[z * z, (z - 1.0) ** 2]
+            sums = _exact_sums(table, view.residual_used, view.residual_index,
+                               view.workers, m.num_workers, size)
+            assert sums.tobytes() == expected.tobytes()
+
+
+class TestExactTotal:
+    """``_exact_total`` is ``math.fsum`` bit for bit, on either side of the
+    size below which it calls ``math.fsum`` itself."""
+
+    @pytest.mark.parametrize("x", [
+        np.empty(0),
+        np.array([0.1]),
+        np.random.default_rng(0).random(2**20),
+        np.zeros(5000),
+        # cancellation: a large sum that nearly vanishes
+        np.r_[np.random.default_rng(1).random(3000) * 1e16, 0.1, 1e-3,
+              -np.random.default_rng(1).random(3000) * 1e16],
+        np.random.default_rng(2).normal(size=4000),
+        10.0 ** np.random.default_rng(3).uniform(-300, 0, size=3000),
+        np.random.default_rng(4).integers(1, 2**40, size=3000) * np.nextafter(0.0, 1.0),
+    ], ids=["empty", "one", "2^20", "zeros", "cancellation", "negatives",
+            "1e-300..1", "subnormals"])
+    def test_equals_fsum(self, x):
+        expected = math.fsum(x.tolist())
+        for sample in (x, x[:_FSUM_MAX_SIZE], x[:_FSUM_MAX_SIZE + 1]):
+            total = _exact_total(sample)
+            assert type(total) is float
+            assert math.fsum(sample.tolist()).hex() == total.hex()
+        assert _exact_total(x[::-1]).hex() == expected.hex()
+
+    def test_non_finite_as_fsum(self):
+        x = np.r_[np.ones(1000), np.inf]
+        assert _exact_total(x) == math.inf
+        assert math.isnan(_exact_total(np.r_[np.ones(1000), np.nan]))
 
 
 class TestRunEmBinary:
@@ -473,6 +619,69 @@ class TestAggregateMulticlass:
         expected_eps = adjust_error_rate(estimate_error_rate(m), 3)
         assert result.epsilon == pytest.approx(expected_eps, rel=1e-12)
         assert result.b_v == pytest.approx(15.0 * expected_eps, rel=1e-12)
+
+
+def _reference_crowds():
+    """Seeded crowds for the regression against the reference EM."""
+    spec = {
+        "k2": SynthSpec(num_items=1500, num_workers=600, num_classes=2, redundancy=5,
+                        seed=21),
+        "k3": SynthSpec(num_items=400, num_workers=30, num_classes=3, redundancy=4,
+                        seed=22, accuracy_range=(0.4, 0.9)),
+        "k4": SynthSpec(num_items=800, num_workers=40, num_classes=4, redundancy=7,
+                        seed=23, class_prior=(0.4, 0.3, 0.2, 0.1)),
+        "redundancy1": SynthSpec(num_items=700, num_workers=30, num_classes=2,
+                                 redundancy=1, seed=24),
+    }
+    crowds = {name: generate(s)[0] for name, s in spec.items()}
+    m = generate(SynthSpec(num_items=300, num_workers=25, num_classes=3, redundancy=3,
+                           seed=25))[0]
+    # class 3 nobody used, 4 idle workers and 6 unlabelled items
+    crowds["phantom-idle-unlabelled"] = LabelMatrix(
+        items=m.items, workers=m.workers, labels=m.labels,
+        num_items=m.num_items + 6, num_workers=m.num_workers + 4, num_classes=4,
+        item_ids=m.item_ids + tuple(f"u{i}" for i in range(6)),
+        worker_ids=m.worker_ids + tuple(f"idle{j}" for j in range(4)),
+        label_names=("0", "1", "2", "3"),
+    )
+    return crowds
+
+
+REFERENCE_CROWDS = _reference_crowds()
+
+
+class TestMatchesGatherThenSplitReference:
+    """Folding the per-worker and per-item tables gives the same bits as
+    splitting every per-label summand."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CROWDS))
+    def test_run_em_binary(self, name, profile):
+        m = REFERENCE_CROWDS[name]
+        hp = _reference_resolve(PROFILES[profile], m)
+        assert resolve(PROFILES[profile], m) == hp
+        for k in range(m.num_classes):
+            view = binary_view(m, k)
+            result = run_em_binary(view, PROFILES[profile])
+            scores, mu, eqv, trace, converged, iterations = _reference_run_em_binary(view, hp)
+            assert result.scores.tobytes() == scores.tobytes()
+            assert result.mu.hex() == mu.hex()
+            assert result.worker_weights.tobytes() == eqv.tobytes()
+            assert result.nll_trace.tobytes() == trace.tobytes()
+            assert (result.converged, result.iterations) == (converged, iterations)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CROWDS))
+    def test_aggregate_multiclass(self, name, profile):
+        m = REFERENCE_CROWDS[name]
+        hp = _reference_resolve(PROFILES[profile], m)
+        result = aggregate_multiclass(m, PROFILES[profile])
+        runs = [_reference_run_em_binary(binary_view(m, k), hp) for k in range(m.num_classes)]
+        assert result.b_v.hex() == hp.b_v.hex()
+        assert result.score_matrix.tobytes() == np.stack([r[0] for r in runs]).tobytes()
+        weights = np.mean([r[2] for r in runs], axis=0)
+        assert result.worker_weights.tobytes() == weights.tobytes()
+        assert [r.iterations for r in result.per_class] == [r[5] for r in runs]
 
 
 class TestWorkerAccuracy:

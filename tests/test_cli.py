@@ -2,13 +2,26 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdbwa
 from crowdbwa.cli import main
 
 FIXTURE = "question,worker,answer\nq1,w1,A\nq1,w2,B\nq2,w1,A\n"
+
+
+# two pinned synthetic crowds: binary, and four skewed classes
+SYNTH_K2 = ["--items", "1000", "--workers", "50", "--k", "2", "--redundancy", "5",
+            "--seed", "7"]
+SYNTH_K4 = ["--items", "500", "--workers", "30", "--k", "4", "--redundancy", "7",
+            "--seed", "123", "--class-prior", "0.4,0.3,0.2,0.1",
+            "--accuracy-min", "0.3", "--accuracy-max", "0.9"]
 
 
 def run(capsys, *argv):
@@ -50,13 +63,10 @@ class TestSynth:
         assert ta.read_bytes() == tb.read_bytes()
 
     @pytest.mark.parametrize("argv, labels_sha, truth_sha", [
-        (["--items", "1000", "--workers", "50", "--k", "2", "--redundancy", "5",
-          "--seed", "7"],
+        (SYNTH_K2,
          "bb52bc46162c5a75c69fa48af7108430f9c6760b2d967b0209d65c93f32f2458",
          "034000d42f6410a027d730c9d67c67392fd2b56d7237c77c7e882f3e50b19e4a"),
-        (["--items", "500", "--workers", "30", "--k", "4", "--redundancy", "7",
-          "--seed", "123", "--class-prior", "0.4,0.3,0.2,0.1",
-          "--accuracy-min", "0.3", "--accuracy-max", "0.9"],
+        (SYNTH_K4,
          "3264b234484fb981593c3f5a156ba972b55b2f7c951e68a0441479069b7104d7",
          "3e0d9aa3032aa207ac6ad8f5cc6a5d9c4029f03f0d6c615c940c2a74698b4ce5"),
     ])
@@ -164,6 +174,62 @@ class TestAggregate:
                          for suffix in ("", ".workers.csv", ".summary.json")])
         assert outs[0] == outs[1]
         assert "runtime_seconds" not in json.loads(outs[0][2])
+
+    # sha256 of the predictions, .workers.csv and .summary.json files
+    @pytest.mark.parametrize("synth, profile, shas", [
+        (SYNTH_K2, "av15-adjusted",
+         ["1e88c73fae38c83d749e031b664fdf898cdd46294492c6b69f670c1b0528414f",
+          "bff5520075b2c50dd3d1c3fd624f002de04ac4bfbf7884e17d9fb60c730e8ac1",
+          "792e528237b867f243acb7ff85e885fb5bb468ccd6fcd2bdf1b713c8df246b32"]),
+        (SYNTH_K2, "av30-original",
+         ["bb6025b6c9dde550c728d6d9b423a19f50f94a58037343e1f628560569cffd87",
+          "157dfb7189c97a9a083f1c0dff0510b14df39f09c44784ba9cd3baab62792604",
+          "4c6477c20ec6290c39567a7532b3ebb89a5475ec1f15815f71966895253ad66a"]),
+        (SYNTH_K4, "av15-adjusted",
+         ["98932e341de73a842c49e7c2b68850957ac72183135e057ee189496bfef7e474",
+          "9c0acdaf4487d693fa2b142dbafd854f51bc90643cd039ca4152d135a1990a7b",
+          "7f775f467d9b5c3808e8dd9bb4a5004916ceddecc8dfd5d4a37f0ee407ae4fdf"]),
+        (SYNTH_K4, "av30-original",
+         ["f770fa72128ea21259e698c9bc69ac96d403d6599c0e332aedd449b8dd95fe56",
+          "b5ed26fbedc8364edddb7f853bea7180e2ac63eecdbd6acb30b44ad0175fe8ce",
+          "5c494e334e92c0174d8ebc18b05cb2c2433c287f9771b15d91afecd4e505a33f"]),
+    ], ids=["k2-av15-adjusted", "k2-av30-original", "k4-av15-adjusted", "k4-av30-original"])
+    def test_bwa_pinned_output_bytes(self, tmp_path, capsys, synth, profile, shas):
+        labels = tmp_path / "l.csv"
+        code, _, _ = run(capsys, "synth", *synth, "--out-labels", str(labels),
+                         "--out-truth", str(tmp_path / "t.csv"))
+        assert code == 0
+        out = tmp_path / "pred.csv"
+        code, _, _ = run(capsys, "aggregate", "--labels", str(labels), "--method", "bwa",
+                         "--profile", profile, "--out", str(out))
+        assert code == 0
+        assert [hashlib.sha256((tmp_path / f"pred.csv{suffix}").read_bytes()).hexdigest()
+                for suffix in ("", ".workers.csv", ".summary.json")] == shas
+
+    def test_no_scipy_on_the_aggregate_path(self, tmp_path):
+        # importing scipy costs start-up time and resident memory that no
+        # aggregation method needs
+        labels = tmp_path / "l.csv"
+        labels.write_text(FIXTURE)
+        script = (
+            "import sys\n"
+            "import crowdbwa.cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "for method in ('mv', 'ds', 'bwa'):\n"
+            "    out = sys.argv[2] + method\n"
+            "    code = crowdbwa.cli.main(['aggregate', '--labels', sys.argv[1],\n"
+            "                              '--method', method, '--out', out])\n"
+            "    assert code == 0, method\n"
+            "    assert 'scipy' not in sys.modules, method\n"
+        )
+        src = str(Path(crowdbwa.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(labels), str(tmp_path / "pred-")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         labels = tmp_path / "l.csv"
