@@ -23,7 +23,11 @@ class MajorityVoteResult:
 
 @dataclass(frozen=True)
 class DsParams:
-    """Knobs for the Dawid-Skene EM fit."""
+    """Knobs for the Dawid-Skene EM fit.
+
+    The 100-iteration cap is kept on purpose: on 4-class crowds DS usually
+    stops there with ``converged=False``, after its hard labels have settled.
+    """
 
     max_iters: int = 100
     tolerance: float = 1e-4   # max change in any class posterior
@@ -75,42 +79,36 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     items, workers, labels = matrix.items, matrix.workers, matrix.labels
     s = params.smoothing
 
-    counts = vote_counts(matrix).counts.astype(np.float64)
-    totals = counts.sum(axis=1)
-    posteriors = np.where(
-        totals[:, None] > 0, counts / np.maximum(totals, 1)[:, None], 1.0 / k
-    )
+    # Class-major state: posteriors[c] and log_like[c] are contiguous rows of
+    # length N, and every reduction over classes is elementwise across rows.
+    counts = vote_counts(matrix).counts.T.astype(np.float64, order="C")
+    totals = counts.sum(axis=0)
+    posteriors = np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / k)
 
     cell = workers * k + labels  # (worker, observed class) confusion row
+    log_like = np.empty((k, n))
     trace = []
     converged = False
-    iterations = 0
-    confusion = np.full((w, k, k), 1.0 / k)
-    priors = np.full(k, 1.0 / k)
     for iterations in range(1, params.max_iters + 1):
-        # M-step: smoothed class priors and confusion rows; one bincount
-        # per true class keeps the temporaries at one label-length array.
-        priors = (posteriors.sum(axis=0) + s) / (n + k * s)
-        flat = np.stack([np.bincount(cell, posteriors[items, c], w * k) for c in range(k)])
-        confusion = flat.reshape(k, w, k).transpose(1, 0, 2) + s
-        confusion = confusion / confusion.sum(axis=2, keepdims=True)
-        log_confusion = np.log(confusion)
+        # M-step: smoothed priors and confusion[true, worker, observed]; one
+        # bincount per true class keeps the temporaries at one label array.
+        priors = (posteriors.sum(axis=1) + s) / (n + k * s)
+        confusion = np.stack([np.bincount(cell, posteriors[c][items], w * k)
+                              for c in range(k)]).reshape(k, w, k) + s
+        confusion /= confusion.sum(axis=2, keepdims=True)
+        log_confusion = np.log(confusion).reshape(k, w * k)
+        log_priors = np.log(priors)
 
         # E-step in log space.
-        log_like = np.log(priors) + np.stack(
-            [np.bincount(items, log_confusion[:, c, :].ravel()[cell], n) for c in range(k)],
-            axis=1,
-        )
-        shift = log_like.max(axis=1, keepdims=True)
-        unnorm = np.exp(log_like - shift)
-        new_posteriors = unnorm / unnorm.sum(axis=1, keepdims=True)
+        for c in range(k):
+            log_like[c] = log_priors[c] + np.bincount(items, log_confusion[c][cell], n)
+        shift = log_like.max(axis=0)
+        new_posteriors = np.exp(log_like - shift)
+        total = new_posteriors.sum(axis=0)
+        new_posteriors /= total
 
-        log_marginal = float((shift[:, 0] + np.log(unnorm.sum(axis=1))).sum())
-        trace.append(
-            log_marginal
-            + s * float(log_confusion.sum())
-            + s * float(np.log(priors).sum())
-        )
+        log_marginal = float((shift + np.log(total)).sum())
+        trace.append(log_marginal + s * float(log_confusion.sum() + log_priors.sum()))
 
         delta = float(np.abs(new_posteriors - posteriors).max())
         posteriors = new_posteriors
@@ -119,10 +117,10 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
             break
 
     return DawidSkeneResult(
-        hard_labels=np.argmax(posteriors, axis=1).astype(np.int64),
-        posteriors=posteriors,
+        hard_labels=np.argmax(posteriors, axis=0).astype(np.int64),
+        posteriors=posteriors.T,
         class_priors=priors,
-        confusion=confusion,
+        confusion=confusion.transpose(1, 0, 2),
         objective_trace=np.array(trace),
         converged=converged,
         iterations=iterations,

@@ -162,10 +162,13 @@ def cmd_aggregate(args) -> int:
         if unlabeled:
             print(f"warning: {unlabeled} items had no labels", file=sys.stderr)
     elif args.method == "ds":
+        started = time.perf_counter()
         result = dawid_skene(matrix, DsParams())
+        elapsed = time.perf_counter() - started
         _write_predictions(args.out, matrix, result.hard_labels)
         print(
-            f"ds: {result.iterations} iterations, converged={result.converged}",
+            f"ds: {result.iterations} iterations, converged={result.converged} "
+            f"runtime={elapsed:.3f}s",
             file=sys.stderr,
         )
     else:

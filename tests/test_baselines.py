@@ -1,14 +1,15 @@
 """Majority vote and Dawid-Skene reference aggregators.
 
 The vectorised Dawid-Skene fit is cross-checked against a plain-loop
-re-implementation of the same smoothed EM updates.
+re-implementation of the same smoothed EM updates, and against the
+earlier row-major vectorisation it replaced.
 """
 
 import numpy as np
 import pytest
 
-from crowdbwa.baselines import DsParams, dawid_skene, majority_vote
-from crowdbwa.dataset import LabelMatrix
+from crowdbwa.baselines import DawidSkeneResult, DsParams, dawid_skene, majority_vote
+from crowdbwa.dataset import LabelMatrix, vote_counts
 from crowdbwa.synthetic import SynthSpec, generate
 
 
@@ -105,6 +106,67 @@ def naive_dawid_skene(matrix, params):
     return posteriors
 
 
+def row_major_dawid_skene(matrix, params=DsParams()):
+    """The item-major (N, K) vectorisation ``dawid_skene`` replaced, kept
+    verbatim as the reference for the class-major one."""
+    n, w, k = matrix.num_items, matrix.num_workers, matrix.num_classes
+    items, workers, labels = matrix.items, matrix.workers, matrix.labels
+    s = params.smoothing
+
+    counts = vote_counts(matrix).counts.astype(np.float64)
+    totals = counts.sum(axis=1)
+    posteriors = np.where(
+        totals[:, None] > 0, counts / np.maximum(totals, 1)[:, None], 1.0 / k
+    )
+
+    cell = workers * k + labels  # (worker, observed class) confusion row
+    trace = []
+    converged = False
+    iterations = 0
+    confusion = np.full((w, k, k), 1.0 / k)
+    priors = np.full(k, 1.0 / k)
+    for iterations in range(1, params.max_iters + 1):
+        # M-step: smoothed class priors and confusion rows; one bincount
+        # per true class keeps the temporaries at one label-length array.
+        priors = (posteriors.sum(axis=0) + s) / (n + k * s)
+        flat = np.stack([np.bincount(cell, posteriors[items, c], w * k) for c in range(k)])
+        confusion = flat.reshape(k, w, k).transpose(1, 0, 2) + s
+        confusion = confusion / confusion.sum(axis=2, keepdims=True)
+        log_confusion = np.log(confusion)
+
+        # E-step in log space.
+        log_like = np.log(priors) + np.stack(
+            [np.bincount(items, log_confusion[:, c, :].ravel()[cell], n) for c in range(k)],
+            axis=1,
+        )
+        shift = log_like.max(axis=1, keepdims=True)
+        unnorm = np.exp(log_like - shift)
+        new_posteriors = unnorm / unnorm.sum(axis=1, keepdims=True)
+
+        log_marginal = float((shift[:, 0] + np.log(unnorm.sum(axis=1))).sum())
+        trace.append(
+            log_marginal
+            + s * float(log_confusion.sum())
+            + s * float(np.log(priors).sum())
+        )
+
+        delta = float(np.abs(new_posteriors - posteriors).max())
+        posteriors = new_posteriors
+        if delta <= params.tolerance:
+            converged = True
+            break
+
+    return DawidSkeneResult(
+        hard_labels=np.argmax(posteriors, axis=1).astype(np.int64),
+        posteriors=posteriors,
+        class_priors=priors,
+        confusion=confusion,
+        objective_trace=np.array(trace),
+        converged=converged,
+        iterations=iterations,
+    )
+
+
 class TestDawidSkene:
     def test_unanimous_matches_majority_vote(self):
         rng = np.random.default_rng(5)
@@ -174,3 +236,52 @@ class TestDawidSkene:
         for kwargs in ({"max_iters": 0}, {"tolerance": 0.0}, {"smoothing": 0.0}):
             with pytest.raises(ValueError):
                 DsParams(**kwargs)
+
+    def test_unlabelled_item_idle_worker_unused_class(self):
+        rows = [("q0", "w0", "0"), ("q0", "w1", "1"), ("q1", "w0", "1"),
+                ("q1", "w1", "1"), ("q2", "w0", "0"), ("q2", "w1", "0")]
+        m = matrix_from(rows, item_ids=["q0", "q1", "q2", "q3"],
+                        worker_ids=["w0", "w1", "w2"], num_classes=3)
+        result = dawid_skene(m)
+        assert result.posteriors.shape == (4, 3)
+        assert result.confusion.shape == (3, 3, 3)
+        assert np.abs(result.posteriors[3] - result.class_priors).max() <= 1e-15
+        assert np.abs(result.confusion[2] - 1.0 / 3).max() <= 1e-15
+        assert np.abs(result.confusion.sum(axis=2) - 1.0).max() <= 1e-15
+
+    def test_row_order_moves_only_rounding(self):
+        # np.bincount adds each item's and worker's terms in row order, so
+        # a shuffle may move the floats in the last bits, and nothing else
+        m, _ = generate(SynthSpec(num_items=300, num_workers=20, num_classes=4,
+                                  redundancy=5, seed=2, accuracy_range=(0.3, 0.9)))
+        order = np.random.default_rng(0).permutation(m.num_labels)
+        shuffled = LabelMatrix(
+            items=m.items[order], workers=m.workers[order], labels=m.labels[order],
+            num_items=m.num_items, num_workers=m.num_workers, num_classes=m.num_classes,
+            item_ids=m.item_ids, worker_ids=m.worker_ids, label_names=m.label_names,
+        )
+        a, b = dawid_skene(m), dawid_skene(shuffled)
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+        assert np.array_equal(a.hard_labels, b.hard_labels)
+        assert np.abs(a.posteriors - b.posteriors).max() <= 1e-12
+
+
+class TestMatchesRowMajorReference:
+    """The class-major EM reproduces the row-major one up to the order of
+    its floating-point sums."""
+
+    # (classes, seed, converged): the 4-class crowd stops at max_iters
+    @pytest.mark.parametrize("k, seed, converged",
+                             [(2, 0, True), (3, 0, True), (4, 2, False), (5, 1, True)])
+    def test_dawid_skene(self, k, seed, converged):
+        m, _ = generate(SynthSpec(num_items=300, num_workers=20, num_classes=k,
+                                  redundancy=5, seed=seed, accuracy_range=(0.3, 0.9)))
+        got, ref = dawid_skene(m), row_major_dawid_skene(m)
+        assert ref.converged is converged
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        assert np.array_equal(got.hard_labels, ref.hard_labels)
+        for name in ("posteriors", "confusion", "class_priors"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12, name
+        assert got.objective_trace == pytest.approx(ref.objective_trace, rel=1e-12, abs=0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,19 @@ class TestAggregate:
                          for suffix in ("", ".workers.csv", ".summary.json")])
         assert outs[0] == outs[1]
         assert "runtime_seconds" not in json.loads(outs[0][2])
+
+    def test_ds_line_and_byte_identical_predictions(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, capsys, "ds1", 9)
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            code, _, err = run(capsys, "aggregate", "--labels", str(d / "labels.csv"),
+                               "--method", "ds", "--out", str(out))
+            assert code == 0
+            assert re.fullmatch(r"ds: \d+ iterations, converged=(True|False) "
+                                r"runtime=\d+\.\d{3}s\n", err)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     # sha256 of the predictions, .workers.csv and .summary.json files
     @pytest.mark.parametrize("synth, profile, shas", [
