@@ -25,11 +25,12 @@ from . import __version__
 from .baselines import DsParams, dawid_skene, majority_vote
 from .bwa import PROFILES, BwaHyperParams, aggregate_multiclass, worker_accuracy
 from .dataset import (
-    ParseError,
     ValidationError,
     load_labels,
+    load_predictions,
     load_truth,
     save_labels,
+    save_predictions,
     save_truth,
 )
 from .evaluation import accuracy, build_report
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and ValidationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -146,18 +147,11 @@ def _hyper_params(args) -> BwaHyperParams:
     return replace(hp, **overrides) if overrides else hp
 
 
-def _write_predictions(path, matrix, labels) -> None:
-    names = np.array(matrix.label_names, dtype=object)[labels].tolist()
-    rows = map(",".join, zip(matrix.item_ids, names))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(["question,label", *rows]) + "\n")
-
-
 def cmd_aggregate(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
     if args.method == "mv":
         result = majority_vote(matrix)
-        _write_predictions(args.out, matrix, result.labels)
+        save_predictions(result.labels, matrix, args.out)
         unlabeled = int(result.is_unlabeled.sum())
         if unlabeled:
             print(f"warning: {unlabeled} items had no labels", file=sys.stderr)
@@ -165,7 +159,7 @@ def cmd_aggregate(args) -> int:
         started = time.perf_counter()
         result = dawid_skene(matrix, DsParams())
         elapsed = time.perf_counter() - started
-        _write_predictions(args.out, matrix, result.hard_labels)
+        save_predictions(result.hard_labels, matrix, args.out)
         print(
             f"ds: {result.iterations} iterations, converged={result.converged} "
             f"runtime={elapsed:.3f}s",
@@ -176,7 +170,7 @@ def cmd_aggregate(args) -> int:
         started = time.perf_counter()
         result = aggregate_multiclass(matrix, hp)
         elapsed = time.perf_counter() - started
-        _write_predictions(args.out, matrix, result.hard_labels)
+        save_predictions(result.hard_labels, matrix, args.out)
         _write_worker_diagnostics(f"{args.out}.workers.csv", matrix, result.worker_weights)
         summary = {
             "method": "bwa",
@@ -339,7 +333,7 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
     truth = load_truth(args.truth, matrix)
-    predictions, predicted = _load_predictions(args.predictions, matrix)
+    predictions, predicted = load_predictions(args.predictions, matrix)
     acc = accuracy(predictions, truth)
     n_missing = int(np.count_nonzero(~predicted[truth.as_arrays()[0]]))
     if n_missing:
@@ -351,40 +345,6 @@ def cmd_eval(args) -> int:
     print(json.dumps({"accuracy": acc, "n_evaluated": len(truth), "n_missing": n_missing},
                      sort_keys=True))
     return 0
-
-
-def _load_predictions(path, matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Read a question,label file into a dense per-item label array and a
-    mask of the items it predicts.
-
-    Items without a prediction default to class 0.
-    """
-    text = Path(path).read_text(encoding="utf-8-sig")
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "question,label":
-        raise ParseError(f"{path}:1: expected header 'question,label'")
-    out = np.zeros(matrix.num_items, dtype=np.int64)
-    predicted = np.zeros(matrix.num_items, dtype=bool)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2 or not all(fields):
-            raise ParseError(f"{path}:{lineno}: expected 2 non-empty fields")
-        item, label = fields
-        if item not in matrix.item_index:
-            raise ValidationError(f"{path}:{lineno}: unknown item id {item!r}")
-        i = matrix.item_index[item]
-        if predicted[i]:
-            raise ValidationError(f"{path}:{lineno}: duplicate prediction for item {item!r}")
-        if label in matrix.label_index:
-            out[i] = matrix.label_index[label]
-        elif label.isdigit() and int(label) < matrix.num_classes:
-            out[i] = int(label)
-        else:
-            raise ValidationError(f"{path}:{lineno}: unknown label {label!r}")
-        predicted[i] = True
-    return out, predicted
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ back under the external ids.
 
 File formats (newline-delimited text, comma-separated, no quoting):
 
-* label file:  header ``question,worker,answer``, one triple per line
-* truth file:  header ``question,truth``, one item per line
+* label file:       header ``question,worker,answer``, one triple per line
+* truth file:       header ``question,truth``, one item per line
+* prediction file:  header ``question,label``, one item per line
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import numpy as np
 
 LABELS_HEADER = "question,worker,answer"
 TRUTH_HEADER = "question,truth"
+PREDICTIONS_HEADER = "question,label"
 
-_INT_LABEL = re.compile(r"^\d+$")
+# ASCII only: int() folds other scripts' digits into their ASCII twin's class
+_INT_LABEL = re.compile(r"^[0-9]+$")
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -155,10 +158,7 @@ def _build(items, workers, labels, num_classes=None, item_keys=None,
     """
     i, item_ids = _factorise(items, item_keys, "item")
     w, worker_ids = _factorise(workers, worker_keys, "worker")
-    pairs = i * len(worker_ids) + w
-    order = np.argsort(pairs, kind="stable")
-    repeats = order[1:][pairs[order[1:]] == pairs[order[:-1]]]
-    repeat = int(repeats.min()) if repeats.size else len(items)
+    repeat = _first_repeat(i * len(worker_ids) + w)
     k, label_names = _factorise(labels, label_keys, "label")
     integer = all(map(_INT_LABEL.match, label_names))
     values = list(map(int, label_names)) if integer else []
@@ -366,16 +366,104 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
     ``num_classes`` optionally widens an integer label space, e.g. when
     the matching truth file mentions classes no worker ever used.
     """
-    lines = _read_lines(path, LABELS_HEADER)
-    rows = list(filter(str.strip, lines))
-    if not rows:
+    columns, keys, fail = _read_columns(path, LABELS_HEADER, 3)
+    if not columns[0]:  # no rows, or the first one is malformed
+        fail()
         raise ValidationError(f"{path}: no label rows after the header")
-    # Rows before ``good`` have three comma-separated fields, all non-empty.
+
+    def check(repeat: int, too_big: int) -> None:
+        fail((repeat, "duplicate (item, worker) pair ({0!r}, {1!r})"),
+             (too_big, "integer label {2!r} is beyond the int64 range"))
+
+    return _build(*columns, num_classes, *keys, check=check)
+
+
+def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
+    """Load a truth file (header ``question,truth``) against ``matrix``.
+
+    Every item id must be known to the matrix, and every truth label
+    must map into the matrix's label space.
+    """
+    items, labels = _read_item_labels(path, TRUTH_HEADER, matrix, "truth")
+    return GroundTruth(mapping=dict(zip(items.tolist(), labels.tolist())))
+
+
+def load_predictions(path, matrix: LabelMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Load a prediction file (header ``question,label``) against ``matrix``
+    under ``load_truth``'s rules: each item's class (0 if it has no row),
+    and the mask of items with a row."""
+    items, labels = _read_item_labels(path, PREDICTIONS_HEADER, matrix, "prediction")
+    predictions = np.zeros(matrix.num_items, dtype=np.int64)
+    predictions[items] = labels
+    predicted = np.zeros(matrix.num_items, dtype=bool)
+    predicted[items] = True
+    return predictions, predicted
+
+
+def _read_item_labels(path, header: str, matrix: LabelMatrix, noun: str):
+    """(item indices, class indices) of a two-field file's rows, in file order.
+
+    Each item must be known to ``matrix`` and appear once. In an integer
+    label space an integer label is its own class index; any other label
+    must be a label name. Each distinct label is resolved once.
+    """
+    (items, labels), (_, label_keys), fail = _read_columns(path, header, 2)
+    i = np.fromiter(map(matrix.item_index.get, items, repeat(-1)), np.int64, len(items))
+    integer = all(map(_INT_LABEL.match, matrix.label_names))
+    num_classes = matrix.num_classes
+
+    def resolve(label: str) -> int:
+        """The class index, -1 beyond the class count, -2 if unknown."""
+        if integer and _INT_LABEL.match(label):
+            code = int(label)
+            return code if code < num_classes else -1
+        return matrix.label_index.get(label, -2)
+
+    classes = {label: resolve(label) for label in label_keys}
+    k = np.fromiter(map(classes.__getitem__, labels), np.int64, len(labels))
+    fail((_first(i < 0), "unknown item id {0!r}"),
+         (_first_repeat(i), f"duplicate {noun} for item {{0!r}}"),
+         (_first(k == -1), f"{noun} label {{1!r}} outside the {num_classes}-class label space"),
+         (_first(k == -2), f"unknown {noun} label {{1!r}}"))
+    return i, k
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``, or its length if none."""
+    return int(mask.argmax()) if mask.any() else mask.size
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one, or the length if none."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(repeats.min()) if repeats.size else keys.size
+
+
+def _read_columns(path, header: str, width: int):
+    """Split a ``width``-field file's non-blank rows into stripped columns.
+
+    Returns the columns, up to the first row with the wrong field count;
+    each column's distinct values in first-appearance order; and
+    ``fail(*faults)``, which raises ``path:lineno: message`` for the first
+    fault in file order. A fault is ``(row, message)``, with ``row`` at
+    least ``len(columns[0])`` for none and the message formatted with the
+    row's fields. On one row, a malformed row comes first, then ``faults``
+    in the order given.
+    """
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    if not lines or not lines[0].strip():
+        raise ValidationError(f"{path}: empty file (expected header {header!r})")
+    if lines[0].strip() != header:
+        raise ParseError(f"{path}:1: bad header {lines[0].strip()!r} (expected {header!r})")
+    del lines[0]
+    rows = list(filter(str.strip, lines))
+    # Rows before ``good`` have ``width`` comma-separated fields, all non-empty.
     commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    bad = np.flatnonzero(commas != 2)
+    bad = np.flatnonzero(commas != width - 1)
     good = int(bad[0]) if bad.size else len(rows)
     fields = ",".join(rows[:good]).split(",") if good else []
-    columns = [fields[c::3] for c in range(3)]
+    columns = [fields[c::width] for c in range(width)]
     del fields
     keys = []
     for c, column in enumerate(columns):
@@ -386,94 +474,48 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
         if "" in distinct:
             good = min(good, column.index(""))
         keys.append(distinct)
-    items, workers, labels = columns
 
-    def check(repeat: int, too_big: int) -> None:
-        first = min(repeat, too_big, good)
-        if first < len(rows):
-            nonblank = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
-            at = f"{path}:{np.flatnonzero(nonblank)[first] + 2}"
-            if first < good:
-                raise ValidationError(
-                    f"{at}: duplicate (item, worker) pair ({items[first]!r}, {workers[first]!r})"
-                    if first == repeat
-                    else f"{at}: integer label {labels[first]!r} is beyond the int64 range"
-                )
-            raise ParseError(f"{at}: expected 3 non-empty comma-separated fields, "
-                             f"got {rows[good].strip()!r}")
-
-    return _build(items, workers, labels, num_classes, *keys, check=check)
-
-
-def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
-    """Load a truth file (header ``question,truth``) against ``matrix``.
-
-    Every item id must be known to the matrix, and every truth label
-    must map into the matrix's label space.
-    """
-    lines = _read_lines(path, TRUTH_HEADER)
-    mapping: dict[int, int] = {}
-    integer_labels = all(_INT_LABEL.match(name) for name in matrix.label_names)
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2 or not all(fields):
-            raise ParseError(
-                f"{path}:{lineno}: expected 2 non-empty comma-separated fields, "
-                f"got {line.strip()!r}"
-            )
-        item, label = fields
-        if item not in matrix.item_index:
-            raise ValidationError(f"{path}:{lineno}: unknown item id {item!r}")
-        i = matrix.item_index[item]
-        if i in mapping:
-            raise ValidationError(f"{path}:{lineno}: duplicate truth for item {item!r}")
-        if integer_labels and _INT_LABEL.match(label):
-            k = int(label)
-            if k >= matrix.num_classes:
-                raise ValidationError(
-                    f"{path}:{lineno}: truth label {label!r} outside the "
-                    f"{matrix.num_classes}-class label space"
-                )
-        elif label in matrix.label_index:
-            k = matrix.label_index[label]
+    def fail(*faults: tuple[int, str]) -> None:
+        at, p = min((fault[0], p) for p, fault in enumerate([(good,), *faults]))
+        if at == len(rows):
+            return
+        if p:
+            error = ValidationError
+            message = faults[p - 1][1].format(*(column[at] for column in columns))
         else:
-            raise ValidationError(f"{path}:{lineno}: unknown truth label {label!r}")
-        mapping[i] = k
-    return GroundTruth(mapping=mapping)
+            error = ParseError
+            message = (f"expected {width} non-empty comma-separated fields, "
+                       f"got {rows[at].strip()!r}")
+        nonblank = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+        raise error(f"{path}:{np.flatnonzero(nonblank)[at] + 2}: {message}")
+
+    return columns, keys, fail
 
 
 def save_labels(matrix: LabelMatrix, path) -> None:
     """Write ``matrix`` in the label file format, preserving triple order."""
-    columns = [
-        np.array(names, dtype=object)[codes].tolist()
-        for names, codes in ((matrix.item_ids, matrix.items),
-                             (matrix.worker_ids, matrix.workers),
-                             (matrix.label_names, matrix.labels))
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([LABELS_HEADER, *map(",".join, zip(*columns))]) + "\n")
+    _write_rows(path, LABELS_HEADER, _names(matrix.item_ids, matrix.items),
+                _names(matrix.worker_ids, matrix.workers),
+                _names(matrix.label_names, matrix.labels))
 
 
 def save_truth(truth: GroundTruth, matrix: LabelMatrix, path) -> None:
     """Write ``truth`` in the truth file format, sorted by item index."""
-    idx, lab = truth.as_arrays()
+    items, labels = truth.as_arrays()
+    _write_rows(path, TRUTH_HEADER, _names(matrix.item_ids, items),
+                _names(matrix.label_names, labels))
+
+
+def save_predictions(labels: np.ndarray, matrix: LabelMatrix, path) -> None:
+    """Write one predicted class per item in the prediction file format."""
+    _write_rows(path, PREDICTIONS_HEADER, matrix.item_ids, _names(matrix.label_names, labels))
+
+
+def _names(names: Sequence[str], codes: np.ndarray) -> list[str]:
+    return np.array(names, dtype=object)[codes].tolist()
+
+
+def _write_rows(path, header: str, *columns: Sequence[str]) -> None:
+    """Write ``header`` and then the columns' fields row by row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRUTH_HEADER + "\n")
-        for i, k in zip(idx, lab):
-            fh.write(f"{matrix.item_ids[i]},{matrix.label_names[k]}\n")
-
-
-def _read_lines(path, expected_header: str) -> list[str]:
-    """The lines after the checked header; ``lines[n]`` is line ``n + 2``."""
-    text = Path(path).read_text(encoding="utf-8-sig")
-    raw = text.splitlines()
-    if not raw or not raw[0].strip():
-        raise ValidationError(f"{path}: empty file (expected header {expected_header!r})")
-    if raw[0].strip() != expected_header:
-        raise ParseError(
-            f"{path}:1: bad header {raw[0].strip()!r} (expected {expected_header!r})"
-        )
-    return raw[1:]
-
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")

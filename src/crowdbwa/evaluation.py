@@ -71,7 +71,8 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EvalReport":
+    def from_json(cls, text: str) -> "EvalReport":
+        data = json.loads(text)
         return cls(
             scores=tuple(RunScore(**s) for s in data["scores"]),
             summaries=tuple(
@@ -84,10 +85,6 @@ class EvalReport:
             ),
             baseline=data["baseline"],
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
 
     def format_table(self) -> str:
         """Aligned plain-text rendering: accuracy grid plus summaries."""

@@ -406,3 +406,28 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert f"pred.csv:{len(rows) + 1}: duplicate prediction for item {item!r}" in err
+
+    def test_non_ascii_digit_prediction_names_line(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, capsys, "ds1", 8)
+        pred = tmp_path / "pred.csv"
+        assert run(capsys, "aggregate", "--labels", str(d / "labels.csv"),
+                   "--method", "mv", "--out", str(pred))[0] == 0
+        rows = pred.read_text().splitlines()
+        rows[2] = rows[2].split(",")[0] + ",²"
+        pred.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--labels", str(d / "labels.csv"),
+                             "--predictions", str(pred), "--truth", str(d / "truth.csv"))
+        assert code == 1
+        assert out == ""
+        assert "pred.csv:3: unknown prediction label '²'" in err
+
+    def test_class_index_rejected_among_string_labels(self, tmp_path, capsys):
+        labels, truth, pred = tmp_path / "l.csv", tmp_path / "t.csv", tmp_path / "pred.csv"
+        labels.write_text(FIXTURE)
+        truth.write_text("question,truth\nq1,A\nq2,B\n")
+        pred.write_text("question,label\nq1,A\nq2,1\n")
+        code, out, err = run(capsys, "eval", "--labels", str(labels),
+                             "--predictions", str(pred), "--truth", str(truth))
+        assert code == 1
+        assert out == ""
+        assert "pred.csv:3: unknown prediction label '1'" in err

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from crowdbwa.dataset import (
+    PREDICTIONS_HEADER,
+    TRUTH_HEADER,
     LabelMatrix,
     ParseError,
     ValidationError,
     binary_view,
     load_labels,
+    load_predictions,
     load_truth,
     save_labels,
+    save_predictions,
     save_truth,
     vote_counts,
 )
@@ -142,6 +146,15 @@ class TestLoadLabels:
         assert list(m.labels) == [2, 0]
         assert m.num_classes == 3
 
+    def test_integer_labels_are_ascii_digits(self, tmp_path):
+        # an Arabic-Indic three is its own label, not a second spelling of 3
+        path = tmp_path / "l.csv"
+        path.write_bytes("question,worker,answer\nq1,w1,3\nq2,w1,\u0663\nq3,w2,1\n"
+                         .encode("utf-8"))
+        m = load_labels(path)
+        assert m.label_names == ("3", "\u0663", "1")
+        assert list(m.labels) == [0, 1, 2]
+
 
 class TestRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):
@@ -213,6 +226,102 @@ class TestLoadTruth:
         )
         truth = load_truth(write(tmp_path, "t.csv", "question,truth\nq2,2\n"), m)
         assert truth[1] == 2
+
+
+def read_truth(path, matrix):
+    return load_truth(path, matrix).mapping
+
+
+def read_predictions(path, matrix):
+    labels, predicted = load_predictions(path, matrix)
+    assert not labels[~predicted].any()
+    return dict(zip(np.flatnonzero(predicted).tolist(), labels[predicted].tolist()))
+
+
+@pytest.mark.parametrize("header, noun, read", [
+    (TRUTH_HEADER, "truth", read_truth),
+    (PREDICTIONS_HEADER, "prediction", read_predictions),
+], ids=["truth", "prediction"])
+class TestItemLabelReaders:
+    """Edge cases that truth and prediction files share."""
+
+    INTEGER = "question,worker,answer\nq1,w1,0\nq2,w1,1\nq3,w2,2\n"
+    STRINGS = "question,worker,answer\nq1,w1,A\nq2,w1,B\n"
+
+    def load(self, tmp_path, header, read, rows, labels=INTEGER):
+        matrix = load_labels(write(tmp_path, "l.csv", labels))
+        path = tmp_path / "f.csv"
+        path.write_bytes(f"{header}\n{rows}".encode("utf-8"))
+        return read(path, matrix)
+
+    def test_leading_zero_is_the_class_index(self, tmp_path, header, noun, read):
+        assert self.load(tmp_path, header, read, "q1,01\nq2,002\n") == {0: 1, 1: 2}
+
+    def test_leading_zero_is_unknown_among_strings(self, tmp_path, header, noun, read):
+        with pytest.raises(ValidationError, match=f"f.csv:2: unknown {noun} label '01'"):
+            self.load(tmp_path, header, read, "q1,01\n", self.STRINGS)
+
+    def test_class_index_is_unknown_among_strings(self, tmp_path, header, noun, read):
+        with pytest.raises(ValidationError, match=f"f.csv:3: unknown {noun} label '1'"):
+            self.load(tmp_path, header, read, "q1,B\nq2,1\n", self.STRINGS)
+
+    def test_other_scripts_digits_are_unknown(self, tmp_path, header, noun, read):
+        for label in ("\u0663", "\u00b2"):
+            with pytest.raises(ValidationError, match=f"f.csv:2: unknown {noun} label"):
+                self.load(tmp_path, header, read, f"q1,{label}\n")
+
+    @pytest.mark.parametrize("label", ["3", "99999999999999999999"])
+    def test_label_beyond_class_count(self, tmp_path, header, noun, read, label):
+        with pytest.raises(ValidationError,
+                           match=f"f.csv:3: {noun} label '{label}' outside the 3-class"):
+            self.load(tmp_path, header, read, f"q1,0\nq2,{label}\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_padding_line_endings_bom_and_blank_lines(self, tmp_path, header, noun, read,
+                                                      newline):
+        matrix = load_labels(write(tmp_path, "l.csv", self.INTEGER))
+        path = tmp_path / "f.csv"
+        path.write_bytes(newline.join(["\ufeff" + header, " q2 ,\t1 ", "", "  ", "q3,0", ""])
+                         .encode("utf-8"))
+        assert read(path, matrix) == {1: 1, 2: 0}
+
+    def test_header_only(self, tmp_path, header, noun, read):
+        assert self.load(tmp_path, header, read, "") == {}
+        assert self.load(tmp_path, header, read, "\n \n") == {}
+
+    def test_repeated_item(self, tmp_path, header, noun, read):
+        with pytest.raises(ValidationError, match=f"f.csv:4: duplicate {noun} for item 'q1'"):
+            self.load(tmp_path, header, read, "q1,0\nq2,1\n q1,1\n")
+
+    def test_repeated_item_reported_before_its_label(self, tmp_path, header, noun, read):
+        with pytest.raises(ValidationError, match=f"f.csv:3: duplicate {noun} for item 'q1'"):
+            self.load(tmp_path, header, read, "q1,0\nq1,9\n")
+
+    def test_unknown_item_before_malformed_row(self, tmp_path, header, noun, read):
+        with pytest.raises(ValidationError, match="f.csv:3: unknown item id 'q9'"):
+            self.load(tmp_path, header, read, "q1,0\nq9,1\nq2\n")
+
+    def test_malformed_row_before_unknown_item(self, tmp_path, header, noun, read):
+        with pytest.raises(ParseError, match="f.csv:3: expected 2 non-empty"):
+            self.load(tmp_path, header, read, "q1,0\nq2, \nq9,1\n")
+
+    def test_other_header_rejected(self, tmp_path, header, noun, read):
+        other = TRUTH_HEADER if header == PREDICTIONS_HEADER else PREDICTIONS_HEADER
+        matrix = load_labels(write(tmp_path, "l.csv", self.INTEGER))
+        with pytest.raises(ParseError, match="f.csv:1: bad header"):
+            read(write(tmp_path, "f.csv", f"{other}\nq1,0\n"), matrix)
+
+
+class TestSavePredictions:
+    def test_matches_row_writer(self, tmp_path):
+        matrix = LabelMatrix.from_triples(
+            [("é1", "w", "ja"), ("q 2", "w", "nein")], item_ids=["問題", "é1", "q 2"])
+        labels = np.array([1, 0, 1])
+        save_predictions(labels, matrix, tmp_path / "p.csv")
+        rows = [PREDICTIONS_HEADER] + [f"{q},{matrix.label_names[k]}"
+                                       for q, k in zip(matrix.item_ids, labels)]
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == "\n".join(rows) + "\n"
+        assert read_predictions(tmp_path / "p.csv", matrix) == {0: 1, 1: 0, 2: 1}
 
 
 class TestFromTriples:
