@@ -8,7 +8,7 @@ confusion cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,9 @@ class DawidSkeneResult:
     objective_trace: np.ndarray  # smoothed log posterior per iteration
     converged: bool
     iterations: int
+    # max posterior change per iteration (empty if built by hand); the last
+    # entry is <= tolerance exactly when converged
+    delta_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def majority_vote(matrix: LabelMatrix) -> MajorityVoteResult:
@@ -70,7 +73,8 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     unlabelled items). Every M-step adds ``params.smoothing`` to each
     confusion-matrix cell and class-prior count, which makes the fit a
     MAP estimate under weak Dirichlet priors; ``objective_trace`` logs
-    the corresponding smoothed log posterior, which is non-decreasing.
+    the corresponding smoothed log posterior, which is non-decreasing,
+    and ``delta_trace`` the max posterior change the stopping rule reads.
     Deterministic throughout.
     """
     if matrix.num_classes < 2:
@@ -79,38 +83,50 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     items, workers, labels = matrix.items, matrix.workers, matrix.labels
     s = params.smoothing
 
-    # Class-major state: posteriors[c] and log_like[c] are contiguous rows of
+    # Class-major state: posteriors[c] and log_odds[c] are contiguous rows of
     # length N, and every reduction over classes is elementwise across rows.
     counts = vote_counts(matrix).counts.T.astype(np.float64, order="C")
     totals = counts.sum(axis=0)
     posteriors = np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / k)
 
     cell = workers * k + labels  # (worker, observed class) confusion row
-    log_like = np.empty((k, n))
-    trace = []
+    cell_count = np.bincount(cell, minlength=w * k).astype(np.float64)
+    expected = np.empty((k, w * k))  # expected label counts per true class
+    log_odds = np.zeros((k, n))  # against class 0, whose row stays 0
+    trace, deltas = [], []
     converged = False
     for iterations in range(1, params.max_iters + 1):
-        # M-step: smoothed priors and confusion[true, worker, observed]; one
-        # bincount per true class keeps the temporaries at one label array.
+        # M-step: smoothed priors and confusion[true, worker, observed]. Each
+        # item's posteriors sum to 1, so class 0's expected counts are the
+        # cell counts less the other classes'.
         priors = (posteriors.sum(axis=1) + s) / (n + k * s)
-        confusion = np.stack([np.bincount(cell, posteriors[c][items], w * k)
-                              for c in range(k)]).reshape(k, w, k) + s
+        for c in range(1, k):
+            expected[c] = np.bincount(cell, posteriors[c][items], w * k)
+        np.subtract(cell_count, expected[1:].sum(axis=0), out=expected[0])
+        # the subtraction can leave -2e-15 where a count is 0; tiny smoothing
+        # would not cover that before the log
+        np.maximum(expected[0], 0.0, out=expected[0])
+        confusion = expected.reshape(k, w, k) + s
         confusion /= confusion.sum(axis=2, keepdims=True)
         log_confusion = np.log(confusion).reshape(k, w * k)
         log_priors = np.log(priors)
 
-        # E-step in log space.
-        for c in range(k):
-            log_like[c] = log_priors[c] + np.bincount(items, log_confusion[c][cell], n)
-        shift = log_like.max(axis=0)
-        new_posteriors = np.exp(log_like - shift)
+        # E-step: the softmax needs only each class's log odds against class 0.
+        for c in range(1, k):
+            log_odds[c] = (log_priors[c] - log_priors[0]) + np.bincount(
+                items, (log_confusion[c] - log_confusion[0])[cell], n)
+        shift = log_odds.max(axis=0)
+        new_posteriors = np.exp(log_odds - shift)
         total = new_posteriors.sum(axis=0)
         new_posteriors /= total
 
-        log_marginal = float((shift + np.log(total)).sum())
+        # Class 0's log likelihood, summed over items, adds back to the odds.
+        log_marginal = (n * float(log_priors[0]) + float(cell_count @ log_confusion[0])
+                        + float((shift + np.log(total)).sum()))
         trace.append(log_marginal + s * float(log_confusion.sum() + log_priors.sum()))
 
         delta = float(np.abs(new_posteriors - posteriors).max())
+        deltas.append(delta)
         posteriors = new_posteriors
         if delta <= params.tolerance:
             converged = True
@@ -124,4 +140,5 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
         objective_trace=np.array(trace),
         converged=converged,
         iterations=iterations,
+        delta_trace=np.array(deltas),
     )

@@ -31,6 +31,7 @@ PREDICTIONS_HEADER = "question,label"
 # ASCII only: int() folds other scripts' digits into their ASCII twin's class
 _INT_LABEL = re.compile(r"^[0-9]+$")
 _INT64_MAX = np.iinfo(np.int64).max
+_INT64_DIGITS = len(str(_INT64_MAX))
 
 
 class ParseError(ValueError):
@@ -161,7 +162,7 @@ def _build(items, workers, labels, num_classes=None, item_keys=None,
     repeat = _first_repeat(i * len(worker_ids) + w)
     k, label_names = _factorise(labels, label_keys, "label")
     integer = all(map(_INT_LABEL.match, label_names))
-    values = list(map(int, label_names)) if integer else []
+    values = list(map(_int_label, label_names)) if integer else []
     huge = [c for c, v in enumerate(values) if v > _INT64_MAX]
     too_big = int(np.flatnonzero(np.isin(k, huge))[0]) if huge else len(items)
     if check is not None:
@@ -415,7 +416,7 @@ def _read_item_labels(path, header: str, matrix: LabelMatrix, noun: str):
     def resolve(label: str) -> int:
         """The class index, -1 beyond the class count, -2 if unknown."""
         if integer and _INT_LABEL.match(label):
-            code = int(label)
+            code = _int_label(label)
             return code if code < num_classes else -1
         return matrix.label_index.get(label, -2)
 
@@ -426,6 +427,13 @@ def _read_item_labels(path, header: str, matrix: LabelMatrix, noun: str):
          (_first(k == -1), f"{noun} label {{1!r}} outside the {num_classes}-class label space"),
          (_first(k == -2), f"unknown {noun} label {{1!r}}"))
     return i, k
+
+
+def _int_label(label: str) -> int:
+    """An ASCII-digit label's value, or int64's maximum + 1 for any larger
+    one, which keeps ``int()`` clear of its 4,300-digit limit."""
+    digits = label.lstrip("0")
+    return int(digits or "0") if len(digits) <= _INT64_DIGITS else _INT64_MAX + 1
 
 
 def _first(mask: np.ndarray) -> int:

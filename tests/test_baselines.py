@@ -285,3 +285,46 @@ class TestMatchesRowMajorReference:
             assert a.shape == b.shape
             assert np.abs(a - b).max() <= 1e-12, name
         assert got.objective_trace == pytest.approx(ref.objective_trace, rel=1e-12, abs=0)
+
+    # Heavy workers: class 0's expected counts are each cell's label count
+    # less the other classes', so their rounding grows with labels per worker.
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(num_items=20_000, num_workers=3, num_classes=2, redundancy=3,
+                  accuracy_range=(0.9, 0.99)),
+        SynthSpec(num_items=8_000, num_workers=5, num_classes=4, redundancy=4),
+    ], ids=["k2-3-workers", "k4-5-workers"])
+    def test_dawid_skene_heavy_workers(self, spec):
+        m, _ = generate(spec)
+        got, ref = dawid_skene(m), row_major_dawid_skene(m)
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        assert np.array_equal(got.hard_labels, ref.hard_labels)
+        for name in ("posteriors", "confusion", "class_priors"):
+            assert np.abs(getattr(got, name) - getattr(ref, name)).max() <= 1e-12, name
+        assert got.objective_trace == pytest.approx(ref.objective_trace, rel=1e-12, abs=0)
+
+
+class TestDeltaTrace:
+    """``delta_trace`` records the stopping statistic of every iteration."""
+
+    # (classes, seed, converged): the 4-class crowd stops at max_iters
+    @pytest.mark.parametrize("k, seed, converged", [(2, 0, True), (4, 2, False)])
+    def test_one_entry_per_iteration_and_stopping_rule(self, k, seed, converged):
+        m, _ = generate(SynthSpec(num_items=300, num_workers=20, num_classes=k,
+                                  redundancy=5, seed=seed, accuracy_range=(0.3, 0.9)))
+        params = DsParams()
+        result = dawid_skene(m, params)
+        deltas = result.delta_trace
+        assert result.converged is converged
+        assert deltas.shape == (result.iterations,)
+        assert bool(deltas[-1] <= params.tolerance) is converged
+        assert np.all(deltas[:-1] > params.tolerance)
+        assert np.array_equal(deltas, dawid_skene(m, params).delta_trace)
+
+    def test_entry_is_the_max_posterior_change(self):
+        m, _ = generate(SynthSpec(num_items=200, num_workers=12, num_classes=3,
+                                  redundancy=4, seed=3, accuracy_range=(0.3, 0.9)))
+        full = dawid_skene(m)
+        for t in (1, 5, full.iterations - 1):
+            before = dawid_skene(m, DsParams(max_iters=t)).posteriors
+            after = dawid_skene(m, DsParams(max_iters=t + 1)).posteriors
+            assert full.delta_trace[t] == np.abs(after - before).max()

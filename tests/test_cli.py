@@ -162,6 +162,15 @@ class TestAggregate:
         assert code == 1
         assert "l.csv:3: integer label" in err
 
+    def test_label_of_5000_digits_names_line(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text(f"question,worker,answer\nq1,w1,0\nq2,w1,{'7' * 5000}\n")
+        code, _, err = run(capsys, "aggregate", "--labels", str(labels),
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert re.search(r"l\.csv:3: integer label '7{5000}' is beyond the int64 range", err)
+        assert "4300" not in err
+
     def test_bwa_outputs_and_summary_byte_identical(self, tmp_path, capsys):
         d = make_dataset(tmp_path, capsys, "ds1", 9)
         outs = []

@@ -136,6 +136,27 @@ class TestLoadLabels:
         with pytest.raises(ValidationError, match=":2: integer label"):
             load_labels(path)
 
+    def test_label_of_5000_digits_names_line(self, tmp_path):
+        # int() refuses strings beyond 4,300 digits; the digit count decides first
+        path = write(tmp_path, "l.csv",
+                     f"question,worker,answer\nq1,w1,0\nq2,w1,{'9' * 5000}\nq3,w1,1\n")
+        with pytest.raises(ValidationError,
+                           match=r"l\.csv:3: integer label '9{5000}' is beyond the int64 range"):
+            load_labels(path)
+
+    def test_zero_padded_label_of_5000_digits_is_its_value(self, tmp_path):
+        path = write(tmp_path, "l.csv",
+                     f"question,worker,answer\nq1,w1,0\nq2,w1,{'0' * 5000}1\n")
+        m = load_labels(path)
+        assert list(m.labels) == [0, 1]
+        assert m.num_classes == 2
+
+    def test_zero_padding_does_not_hide_int64_overflow(self, tmp_path):
+        label = "0" * 5000 + "9223372036854775808"
+        path = write(tmp_path, "l.csv", f"question,worker,answer\nq1,w1,{label}\n")
+        with pytest.raises(ValidationError, match=r"l\.csv:2: integer label '0{5000}9223"):
+            load_labels(path)
+
     def test_padding_crlf_and_bom(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_bytes("\ufeffquestion,worker,answer\r\n q1 ,w1\t, 2\r\n\r\nq2,w1,0\r\n"
@@ -275,6 +296,16 @@ class TestItemLabelReaders:
         with pytest.raises(ValidationError,
                            match=f"f.csv:3: {noun} label '{label}' outside the 3-class"):
             self.load(tmp_path, header, read, f"q1,0\nq2,{label}\n")
+
+    def test_label_of_5000_digits_is_outside_the_label_space(self, tmp_path, header, noun,
+                                                             read):
+        with pytest.raises(ValidationError,
+                           match=f"f.csv:3: {noun} label '9{{5000}}' outside the 3-class"):
+            self.load(tmp_path, header, read, f"q1,0\nq2,{'9' * 5000}\n")
+
+    def test_zero_padded_label_of_5000_digits_is_the_class_index(self, tmp_path, header,
+                                                                 noun, read):
+        assert self.load(tmp_path, header, read, f"q1,{'0' * 5000}1\n") == {0: 1}
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_padding_line_endings_bom_and_blank_lines(self, tmp_path, header, noun, read,
