@@ -128,6 +128,7 @@ class BinaryResult:
     nll_trace: np.ndarray
     converged: bool
     iterations: int
+    rel_trace: np.ndarray  # per iteration, the max relative change in z the stopping rule reads
 
 
 @dataclass(frozen=True)
@@ -396,13 +397,15 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     result is then flagged unconverged, never an error). Hard labels
     threshold the scores at 0.5; an exact tie resolves to 0. The
     objective value after every iteration is recorded in ``nll_trace``
-    and is non-increasing. Fully deterministic.
+    and is non-increasing, and the stopping statistic in ``rel_trace``.
+    Fully deterministic.
     """
     if view.num_labels == 0:
         raise ValueError("cannot run aggregation on a view with no labels")
     hp = resolve(hp, view.matrix)
     state = init_state(view, hp)
     trace = [state.nll]
+    rel_trace = []
     converged = False
     iterations = 0
     for iterations in range(1, hp.max_iters + 1):
@@ -413,7 +416,8 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
         state.iteration = iterations
         trace.append(state.nll)
         rel = np.abs(state.z - z_prev) / np.maximum(np.abs(z_prev), REL_DIFF_FLOOR)
-        if float(rel.max()) <= hp.tolerance:
+        rel_trace.append(float(rel.max()))
+        if rel_trace[-1] <= hp.tolerance:
             converged = True
             break
     return BinaryResult(
@@ -424,6 +428,7 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
         nll_trace=np.array(trace),
         converged=converged,
         iterations=iterations,
+        rel_trace=np.array(rel_trace),
     )
 
 

@@ -15,6 +15,7 @@ File formats (newline-delimited text, comma-separated, no quoting):
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,36 +143,39 @@ class LabelMatrix:
         records = list(records)
         if not records or set(map(len, records)) != {3}:
             raise ValidationError("expected a non-empty list of (item, worker, label) triples")
-        columns = ([r[c] for r in records] for c in range(3))
-        return _build(*columns, num_classes, item_ids, worker_ids)
+        columns = [_codes([r[c] for r in records]) for c in range(3)]
+        return _build(columns, num_classes, item_ids, worker_ids)
 
 
-def _build(items, workers, labels, num_classes=None, item_keys=None,
-           worker_keys=None, label_keys=None, check=None) -> LabelMatrix:
-    """Build a matrix from parallel item, worker and label string columns.
+def _build(columns, num_classes=None, item_ids=None, worker_ids=None,
+           check=None) -> LabelMatrix:
+    """Build a matrix from the item, worker and label columns, each given
+    as int64 codes over its distinct ids in first-appearance order.
 
-    A ``*_keys`` argument is that column's id universe in index order
-    (default: its distinct values in first-appearance order). ``check``,
-    if given, gets the first row whose (item, worker) pair repeats an
-    earlier row's and the first row whose integer label is beyond the
-    int64 range (each ``len(items)`` if there is none), and may raise
-    its own error first.
+    ``item_ids`` and ``worker_ids``, if given, are those columns' id
+    universes in index order. ``check``, if given, gets the first row
+    whose (item, worker) pair repeats an earlier row's and the first row
+    whose integer label is beyond the int64 range (each the row count if
+    there is none), and may raise its own error first.
     """
-    i, item_ids = _factorise(items, item_keys, "item")
-    w, worker_ids = _factorise(workers, worker_keys, "worker")
-    repeat = _first_repeat(i * len(worker_ids) + w)
-    k, label_names = _factorise(labels, label_keys, "label")
-    integer = all(map(_INT_LABEL.match, label_names))
-    values = list(map(_int_label, label_names)) if integer else []
+    (i, items), (w, workers), (k, labels) = columns
+    if item_ids is not None:
+        i, items = _recode(i, items, item_ids, "item")
+    if worker_ids is not None:
+        w, workers = _recode(w, workers, worker_ids, "worker")
+    repeat = _first_repeat(i * len(workers) + w)
+    integer = all(map(_INT_LABEL.match, labels))
+    values = list(map(_int_label, labels)) if integer else []
     huge = [c for c, v in enumerate(values) if v > _INT64_MAX]
-    too_big = int(np.flatnonzero(np.isin(k, huge))[0]) if huge else len(items)
+    too_big = int(np.flatnonzero(np.isin(k, huge))[0]) if huge else k.size
     if check is not None:
         check(repeat, too_big)
     first = min(repeat, too_big)
-    if first < len(items):
+    if first < k.size:
         raise ValidationError(
-            f"duplicate label: worker {workers[first]!r} labelled item {items[first]!r} twice"
-            if first == repeat else f"integer label {labels[first]!r} is beyond the int64 range"
+            f"duplicate label: worker {workers[w[first]]!r} labelled item "
+            f"{items[i[first]]!r} twice" if first == repeat
+            else f"integer label {labels[k[first]]!r} is beyond the int64 range"
         )
 
     if integer:
@@ -182,27 +186,35 @@ def _build(items, workers, labels, num_classes=None, item_keys=None,
                 f"num_classes={num_classes} is below the largest label index "
                 f"{inferred - 1}"
             )
-        label_names = tuple(map(str, range(num_classes or inferred)))
-    elif num_classes is not None and num_classes != len(label_names):
+        labels = tuple(map(str, range(num_classes or inferred)))
+    elif num_classes is not None and num_classes != len(labels):
         raise ValidationError(
             "num_classes can only extend integer label spaces; "
-            f"got {num_classes} with {len(label_names)} distinct label strings"
+            f"got {num_classes} with {len(labels)} distinct label strings"
         )
-    return LabelMatrix(i, w, k, len(item_ids), len(worker_ids), len(label_names),
-                       item_ids, worker_ids, label_names)
+    return LabelMatrix(i, w, k, len(items), len(workers), len(labels),
+                       items, workers, labels)
 
 
-def _factorise(column, keys, kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
-    """int64 codes of ``column`` over ``keys`` (default: its distinct
-    values in first-appearance order), and the keys as a tuple."""
-    keys = tuple(dict.fromkeys(column) if keys is None else keys)
-    index = dict(zip(keys, range(len(keys))))
-    if len(index) != len(keys):
+def _codes(column: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int64 codes of ``column`` over its distinct values in
+    first-appearance order, and those values as a tuple."""
+    ids = tuple(dict.fromkeys(column))
+    index = dict(zip(ids, range(len(ids))))
+    return np.fromiter(map(index.__getitem__, column), np.int64, len(column)), ids
+
+
+def _recode(codes, ids, universe, kind: str) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``codes`` over ``ids`` re-expressed over the explicit id list
+    ``universe``, and that list as a tuple."""
+    universe = tuple(universe)
+    index = dict(zip(universe, range(len(universe))))
+    if len(index) != len(universe):
         raise ValidationError("explicit id list contains duplicates")
-    try:
-        return np.fromiter(map(index.__getitem__, column), np.int64, len(column)), keys
-    except KeyError as exc:
-        raise ValidationError(f"unknown {kind} id {exc.args[0]!r}") from None
+    lookup = [index.get(name, -1) for name in ids]
+    if -1 in lookup:  # ids are in first-appearance order: this is the first unknown row
+        raise ValidationError(f"unknown {kind} id {ids[lookup.index(-1)]!r}")
+    return np.array(lookup, dtype=np.int64)[codes], universe
 
 
 @dataclass(frozen=True)
@@ -367,8 +379,8 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
     ``num_classes`` optionally widens an integer label space, e.g. when
     the matching truth file mentions classes no worker ever used.
     """
-    columns, keys, fail = _read_columns(path, LABELS_HEADER, 3)
-    if not columns[0]:  # no rows, or the first one is malformed
+    columns, fail = _read_columns(path, LABELS_HEADER, 3)
+    if not columns[0][0].size:  # no rows, or the first one is malformed
         fail()
         raise ValidationError(f"{path}: no label rows after the header")
 
@@ -376,7 +388,7 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
         fail((repeat, "duplicate (item, worker) pair ({0!r}, {1!r})"),
              (too_big, "integer label {2!r} is beyond the int64 range"))
 
-    return _build(*columns, num_classes, *keys, check=check)
+    return _build(columns, num_classes, check=check)
 
 
 def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
@@ -406,10 +418,10 @@ def _read_item_labels(path, header: str, matrix: LabelMatrix, noun: str):
 
     Each item must be known to ``matrix`` and appear once. In an integer
     label space an integer label is its own class index; any other label
-    must be a label name. Each distinct label is resolved once.
+    must be a label name. Each distinct item and label is resolved once.
     """
-    (items, labels), (_, label_keys), fail = _read_columns(path, header, 2)
-    i = np.fromiter(map(matrix.item_index.get, items, repeat(-1)), np.int64, len(items))
+    ((i, items), (k, labels)), fail = _read_columns(path, header, 2)
+    i = np.fromiter(map(matrix.item_index.get, items, repeat(-1)), np.int64, len(items))[i]
     integer = all(map(_INT_LABEL.match, matrix.label_names))
     num_classes = matrix.num_classes
 
@@ -420,8 +432,7 @@ def _read_item_labels(path, header: str, matrix: LabelMatrix, noun: str):
             return code if code < num_classes else -1
         return matrix.label_index.get(label, -2)
 
-    classes = {label: resolve(label) for label in label_keys}
-    k = np.fromiter(map(classes.__getitem__, labels), np.int64, len(labels))
+    k = np.fromiter(map(resolve, labels), np.int64, len(labels))[k]
     fail((_first(i < 0), "unknown item id {0!r}"),
          (_first_repeat(i), f"duplicate {noun} for item {{0!r}}"),
          (_first(k == -1), f"{noun} label {{1!r}} outside the {num_classes}-class label space"),
@@ -443,61 +454,210 @@ def _first(mask: np.ndarray) -> int:
 
 def _first_repeat(keys: np.ndarray) -> int:
     """Index of the first entry equal to an earlier one, or the length if none."""
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
-    return int(repeats.min()) if repeats.size else keys.size
+    repeated = np.ones(keys.size, dtype=bool)
+    repeated[_first_appearance(keys)[1]] = False
+    return _first(repeated)
+
+
+# The byte scanner below splits lines and strips fields by exactly the
+# rules of str.splitlines and str.strip: these are the code points each
+# one acts on (the 10 line breaks, then the other 19 of str.isspace's 29).
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_SPACES = ("\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+           "\u2008\u2009\u200a\u202f\u205f\u3000")
+_BREAK, _SPACE, _COMMA = 1, 2, 3
+_ASCII_CLASS = np.zeros(256, dtype=np.uint8)
+_WIDE: dict[bytes, int] = {}  # each non-ASCII break's and space's UTF-8 bytes, and class
+for _cls, _chars in ((_BREAK, _BREAKS), (_SPACE, _SPACES), (_COMMA, ",")):
+    for _c in _chars:
+        if _c.isascii():
+            _ASCII_CLASS[ord(_c)] = _cls
+        else:
+            _WIDE[_c.encode()] = _cls
+_WIDE_LEADS = sorted({seq[0] for seq in _WIDE})
+# A field's first _KEY_BYTES bytes pack into its key, 8 to a uint64 word;
+# a longer field is told apart by its whole bytes.
+_KEY_BYTES = 32
+_WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
 def _read_columns(path, header: str, width: int):
     """Split a ``width``-field file's non-blank rows into stripped columns.
 
-    Returns the columns, up to the first row with the wrong field count;
-    each column's distinct values in first-appearance order; and
-    ``fail(*faults)``, which raises ``path:lineno: message`` for the first
-    fault in file order. A fault is ``(row, message)``, with ``row`` at
-    least ``len(columns[0])`` for none and the message formatted with the
-    row's fields. On one row, a malformed row comes first, then ``faults``
-    in the order given.
+    Returns the columns of the rows before the first malformed one (a row
+    without ``width`` non-empty comma-separated fields), each as
+    ``(codes, values)``: int64 codes over the column's distinct values in
+    first-appearance order. Also returns ``fail(*faults)``, which raises
+    ``path:lineno: message`` for the first fault in file order. A fault
+    is ``(row, message)``, with the message formatted with the row's
+    fields and ``row`` the column length for none; the malformed row, if
+    any, is a fault at that row.
+
+    Lines end at each of str.splitlines' breaks (``\r\n`` is one), and
+    str.strip's whitespace is stripped from lines and fields. The file
+    is scanned as bytes: only ASCII bytes and the UTF-8 encodings of
+    the wider breaks and spaces can split or pad a field.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    if not lines or not lines[0].strip():
+    data = Path(path).read_bytes()
+    ascii_only = data.decode("utf-8-sig").isascii()  # the codec's own error if invalid
+    data = data.removeprefix(codecs.BOM_UTF8)
+    size = len(data)
+    data += bytes(_KEY_BYTES + 8)  # what key words read past the end is masked off
+    commas, (breaks, after), runs = _tokens(np.frombuffer(data, dtype=np.uint8), size,
+                                            ascii_only)
+    # Line n runs from the end of break n - 1 to the start of break n
+    starts, ends = np.concatenate(([0], after)), np.append(breaks, size)
+    if starts[-1] == size:  # no line after a final break
+        starts, ends = starts[:-1], ends[:-1]
+    starts, ends = _strip(runs, starts, ends)
+    del breaks, after
+    if not starts.size or starts[0] == ends[0]:
         raise ValidationError(f"{path}: empty file (expected header {header!r})")
-    if lines[0].strip() != header:
-        raise ParseError(f"{path}:1: bad header {lines[0].strip()!r} (expected {header!r})")
-    del lines[0]
-    rows = list(filter(str.strip, lines))
-    # Rows before ``good`` have ``width`` comma-separated fields, all non-empty.
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    bad = np.flatnonzero(commas != width - 1)
-    good = int(bad[0]) if bad.size else len(rows)
-    fields = ",".join(rows[:good]).split(",") if good else []
-    columns = [fields[c::width] for c in range(width)]
-    del fields
-    keys = []
-    for c, column in enumerate(columns):
-        distinct = dict.fromkeys(column)
-        if any(map(str.__ne__, distinct, map(str.strip, distinct))):
-            columns[c] = column = list(map(str.strip, column))
-            distinct = dict.fromkeys(column)
-        if "" in distinct:
-            good = min(good, column.index(""))
-        keys.append(distinct)
+    first_line = data[starts[0]:ends[0]].decode()
+    if first_line != header:
+        raise ParseError(f"{path}:1: bad header {first_line!r} (expected {header!r})")
+    lines = 1 + np.flatnonzero(starts[1:] < ends[1:])  # the non-blank lines after the header
+    starts, ends = starts[lines], ends[lines]
+    # Rows before ``good`` have width - 1 commas, and then all fields non-empty
+    first_comma = np.searchsorted(commas, starts)
+    good = _first(np.diff(first_comma, append=commas.size) != width - 1)
+    commas = commas[first_comma[0] if good else 0:][:good * (width - 1)]
+    commas = commas.reshape(good, width - 1).T
+    del first_comma
+    field_starts, field_ends = _strip(runs, np.concatenate((starts[None, :good], commas + 1)),
+                                      np.concatenate((commas, ends[None, :good])))
+    del commas, runs
+    good = _first((field_starts == field_ends).any(axis=0))
+    nul = b"\0" in data[:size]
+    columns = [_factorise(data, s[:good], e[:good], nul) for s, e in zip(field_starts, field_ends)]
+    del field_starts, field_ends
 
     def fail(*faults: tuple[int, str]) -> None:
         at, p = min((fault[0], p) for p, fault in enumerate([(good,), *faults]))
-        if at == len(rows):
+        if at == lines.size:
             return
         if p:
             error = ValidationError
-            message = faults[p - 1][1].format(*(column[at] for column in columns))
+            message = faults[p - 1][1].format(*(ids[codes[at]] for codes, ids in columns))
         else:
             error = ParseError
             message = (f"expected {width} non-empty comma-separated fields, "
-                       f"got {rows[at].strip()!r}")
-        nonblank = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
-        raise error(f"{path}:{np.flatnonzero(nonblank)[at] + 2}: {message}")
+                       f"got {data[starts[at]:ends[at]].decode()!r}")
+        raise error(f"{path}:{lines[at] + 1}: {message}")
 
-    return columns, keys, fail
+    return columns, fail
+
+
+def _tokens(bytes_: np.ndarray, size: int, ascii_only: bool):
+    """The comma offsets of ``bytes_[:size]``; the start and end offsets
+    of its line breaks; and those of its maximal runs of whitespace
+    other than breaks."""
+    low = np.flatnonzero(bytes_[:size] <= ord(","))  # no ASCII class byte is above it
+    cls = _ASCII_CLASS[bytes_[low]]
+    commas, breaks, spaces = (low[cls == c] for c in (_COMMA, _BREAK, _SPACE))
+    del low, cls
+    crlf = (bytes_[breaks] == ord("\r")) & (bytes_[breaks + 1] == ord("\n"))
+    if crlf.any():  # the \n of a \r\n is no break of its own
+        keep = np.ones(breaks.size, dtype=bool)
+        keep[1:] = ~crlf[:-1]
+        breaks, crlf = breaks[keep], crlf[keep]
+    breaks, spaces = (breaks, breaks + 1 + crlf), (spaces, spaces + 1)
+    if not ascii_only:
+        breaks, spaces = _add_wide(bytes_, size, breaks, spaces)
+    spaces, after = spaces
+    new = np.ones(spaces.size, dtype=bool)  # where a run starts
+    new[1:] = spaces[1:] != after[:-1]
+    runs = spaces[new], after[np.roll(new, -1)]
+    return commas, breaks, runs
+
+
+def _add_wide(bytes_: np.ndarray, size: int, breaks, spaces):
+    """``breaks`` and ``spaces``, each (starts, ends), merged with the
+    non-ASCII ones in ``bytes_[:size]``."""
+    lead = np.flatnonzero(np.isin(bytes_[:size], _WIDE_LEADS))
+    found = {_BREAK: [breaks], _SPACE: [spaces]}
+    for seq, cls in _WIDE.items():
+        at = lead[np.all([bytes_[lead + n] == b for n, b in enumerate(seq)], axis=0)]
+        found[cls].append((at, at + len(seq)))
+    merged = []
+    for spans in found.values():
+        starts, ends = map(np.concatenate, zip(*spans))
+        order = np.argsort(starts)
+        merged.append((starts[order], ends[order]))
+    return merged
+
+
+def _strip(runs, starts, ends):
+    """``starts`` and ``ends`` moved past leading and before trailing
+    whitespace ``runs``; a span of only whitespace ends where it starts."""
+    run_starts, run_ends = runs
+    if not run_starts.size:
+        return starts, ends
+    at = np.minimum(np.searchsorted(run_starts, starts), run_starts.size - 1)
+    starts = np.where(run_starts[at] == starts, run_ends[at], starts)
+    at = np.minimum(np.searchsorted(run_ends, ends), run_ends.size - 1)
+    ends = np.maximum(np.where(run_ends[at] == ends, run_starts[at], ends), starts)
+    return starts, ends
+
+
+def _factorise(data: bytes, starts, ends, nul: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    """First-appearance codes of the fields ``data[starts:ends]``, and the
+    distinct fields decoded. ``nul``: whether ``data`` holds a NUL byte,
+    which zero padding would confuse with a shorter field's end."""
+    if not starts.size:
+        return np.empty(0, dtype=np.int64), ()
+    lengths = ends - starts
+    packed = np.minimum(lengths, _KEY_BYTES)
+    # Element n of ``words`` holds data[n:n + 8], the first byte lowest
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    key = None
+    for offset in range(0, int(packed.max()), 8):
+        word = words[starts + offset] & _WORD_MASKS[np.clip(packed - offset, 0, 8)]
+        key = word if key is None else _fold(key, word)
+    long = np.flatnonzero(lengths > _KEY_BYTES)
+    if long.size:
+        seen: dict[bytes, int] = {}
+        whole = np.zeros(starts.size, dtype=np.int64)
+        whole[long] = [seen.setdefault(data[a:b], len(seen) + 1)
+                       for a, b in zip(starts[long].tolist(), ends[long].tolist())]
+        key = _fold(key, whole)
+    if nul:
+        key = _fold(key, lengths)
+    codes, first = _first_appearance(key)
+    # One decode of the distinct fields, each followed by a \n (no field holds one)
+    starts, lengths = starts[first], lengths[first] + 1
+    offsets = np.cumsum(lengths) - lengths
+    text = np.frombuffer(data, dtype=np.uint8)[
+        np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)]
+    text[offsets + lengths - 1] = ord("\n")
+    return codes, tuple(text[:-1].tobytes().decode().split("\n"))
+
+
+def _fold(key: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """One int64 key per row that tells apart rows unequal in ``key`` or ``word``."""
+    key, distinct = _first_appearance(key)
+    top = int(word.max()) + 1
+    if top > _INT64_MAX // len(distinct):
+        word, top = _first_appearance(word)[0], word.size
+    return key * top + word.astype(np.int64)
+
+
+def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 codes of ``key``'s values, numbered in order of first
+    appearance, and the row where each value first appears."""
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[by_first] = np.arange(first.size)
+    codes = np.empty(key.size, dtype=np.int64)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return codes, first[by_first]
 
 
 def save_labels(matrix: LabelMatrix, path) -> None:

@@ -6,6 +6,7 @@ inline, and against majority vote where the two provably coincide.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
     PROFILES,
+    REL_DIFF_FLOOR,
     BwaHyperParams,
     _FSUM_MAX_SIZE,
     _exact_sums,
@@ -565,6 +567,45 @@ class TestRunEmBinary:
         result = run_em_binary(binary_view(m, 1), fixed_hp(15.0, 7.5))
         assert result.scores[0] == 0.5
         assert result.hard_labels[0] == 0
+
+
+class TestRelTrace:
+    """``rel_trace`` records the stopping statistic of every iteration."""
+
+    @staticmethod
+    def view():
+        m, _ = generate(SynthSpec(num_items=300, num_workers=20, num_classes=2, redundancy=5,
+                                  seed=0, accuracy_range=(0.3, 0.9)))
+        return binary_view(m, 1)
+
+    # (max_iters, converged): the second run stops at its cap
+    @pytest.mark.parametrize("max_iters, converged", [(500, True), (3, False)])
+    def test_one_entry_per_iteration_and_stopping_rule(self, max_iters, converged):
+        hp = replace(PROFILES["av15-adjusted"], max_iters=max_iters)
+        result = run_em_binary(self.view(), hp)
+        rels = result.rel_trace
+        assert result.converged is converged
+        assert rels.shape == (result.iterations,)
+        assert bool(rels[-1] <= hp.tolerance) is converged
+        assert np.all(rels[:-1] > hp.tolerance)
+        assert np.array_equal(rels, run_em_binary(self.view(), hp).rel_trace)
+
+    def test_entry_is_the_max_relative_change(self):
+        hp = PROFILES["av15-adjusted"]
+        full = run_em_binary(self.view(), hp)
+        for t in (1, 5, full.iterations - 1):
+            before = run_em_binary(self.view(), replace(hp, max_iters=t)).scores
+            after = run_em_binary(self.view(), replace(hp, max_iters=t + 1)).scores
+            rel = np.abs(after - before) / np.maximum(np.abs(before), REL_DIFF_FLOOR)
+            assert full.rel_trace[t] == rel.max()
+
+    def test_every_class_of_a_multiclass_run(self):
+        m, _ = generate(SynthSpec(num_items=200, num_workers=12, num_classes=4, redundancy=4,
+                                  seed=2, accuracy_range=(0.3, 0.9)))
+        hp = PROFILES["av15-adjusted"]
+        for r in aggregate_multiclass(m, hp).per_class:
+            assert r.rel_trace.shape == (r.iterations,)
+            assert bool(r.rel_trace[-1] <= hp.tolerance) is r.converged
 
 
 class TestAggregateMulticlass:

@@ -1,9 +1,14 @@
 """Ingestion, validation and views of the sparse label store."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import test_item_label_fuzz as item_label_fuzz
+import test_loader_fuzz as loader_fuzz
 
 from crowdbwa.dataset import (
+    LABELS_HEADER,
     PREDICTIONS_HEADER,
     TRUTH_HEADER,
     LabelMatrix,
@@ -136,6 +141,13 @@ class TestLoadLabels:
         with pytest.raises(ValidationError, match=":2: integer label"):
             load_labels(path)
 
+    def test_label_beyond_int64_before_empty_label(self, tmp_path):
+        # the empty label on line 3 does not make the label space a string one
+        path = write(tmp_path, "l.csv", "question,worker,answer\n"
+                     "q1,w1,99999999999999999999\nq2,w1, \n")
+        with pytest.raises(ValidationError, match=":2: integer label"):
+            load_labels(path)
+
     def test_label_of_5000_digits_names_line(self, tmp_path):
         # int() refuses strings beyond 4,300 digits; the digit count decides first
         path = write(tmp_path, "l.csv",
@@ -175,6 +187,120 @@ class TestLoadLabels:
         m = load_labels(path)
         assert m.label_names == ("3", "\u0663", "1")
         assert list(m.labels) == [0, 1, 2]
+
+
+# str.strip's whitespace and str.splitlines' line breaks; none lies above U+3000
+WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+BREAKS = [c for c in WHITESPACE if len(f"a{c}b".splitlines()) == 2]
+# Ids that must be neither split nor stripped: U+2010 shares its first two
+# UTF-8 bytes with U+2000-U+200A and U+2028/U+2029, and U+200B is no space
+LOOKALIKES = ["q\u2010", "\u2010", "q\u200b", "\u200bq", "é", "問題", "q\x00", "\x00q"]
+
+
+def code_points(text):
+    return "+".join(f"U{ord(c):04X}" for c in text)
+
+
+def rows_text(header, rows, newline="\n", pad=""):
+    """A file of ``rows`` (tuples of fields), each field padded on both
+    sides by ``pad``, with a line of only ``pad`` after the first row."""
+    lines = [",".join(pad + f + pad for f in row) for row in rows]
+    return newline.join([header, lines[0], pad, *lines[1:]]) + newline
+
+
+LOOKALIKE_LABELS = [(item, f"w{t % 3}", str(t % 2)) for t, item in enumerate(LOOKALIKES)]
+LOOKALIKE_TRUTH = [(item, str(t % 2)) for t, item in enumerate(LOOKALIKES)]
+
+
+def compare_labels(tmp_path, text):
+    """``load_labels``' outcome on ``text``, which must equal the row reference's."""
+    path = tmp_path / "l.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = loader_fuzz.outcome(loader_fuzz.reference_load_labels, path, None)
+    assert loader_fuzz.outcome(load_labels, path, None) == expected
+    return expected
+
+
+def compare_truth(tmp_path, text):
+    """``load_truth``'s outcome on ``text`` against the look-alike crowd,
+    which must equal the row reference's."""
+    matrix = LabelMatrix.from_triples(LOOKALIKE_LABELS)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = item_label_fuzz.outcome(
+        lambda p, m: item_label_fuzz.reference_load(p, m, TRUTH_HEADER, "truth"), path, matrix)
+    assert item_label_fuzz.outcome(lambda p, m: load_truth(p, m).mapping, path,
+                                   matrix) == expected
+    return expected
+
+
+def test_whitespace_sets_are_str_rules():
+    assert (len(WHITESPACE), len(BREAKS)) == (29, 10)
+
+
+@pytest.mark.parametrize("newline", BREAKS + ["\r\n", "\n\r", "\r\r\n"], ids=code_points)
+class TestEveryLineBreak:
+    def test_labels(self, tmp_path, newline):
+        got = compare_labels(tmp_path, rows_text(LABELS_HEADER, LOOKALIKE_LABELS, newline))
+        assert got.item_ids == tuple(LOOKALIKES)
+
+    def test_truth(self, tmp_path, newline):
+        got = compare_truth(tmp_path, rows_text(TRUTH_HEADER, LOOKALIKE_TRUTH, newline))
+        assert len(got) == len(LOOKALIKES)
+
+    def test_line_numbers(self, tmp_path, newline):
+        short = [("q9",)]
+        got = compare_labels(tmp_path, rows_text(LABELS_HEADER, LOOKALIKE_LABELS + short,
+                                                 newline))
+        assert got[0] is ParseError
+        got = compare_truth(tmp_path, rows_text(TRUTH_HEADER, LOOKALIKE_TRUTH + short, newline))
+        assert got[0] is ParseError
+
+
+@pytest.mark.parametrize("pad", WHITESPACE, ids=code_points)
+class TestEveryWhitespacePad:
+    """A break used as padding splits the row; the outcomes must still agree."""
+
+    def test_labels(self, tmp_path, pad):
+        got = compare_labels(tmp_path, rows_text(LABELS_HEADER, LOOKALIKE_LABELS, pad=pad))
+        assert isinstance(got, LabelMatrix) is (pad not in BREAKS)
+
+    def test_truth(self, tmp_path, pad):
+        got = compare_truth(tmp_path, rows_text(TRUTH_HEADER, LOOKALIKE_TRUTH, pad=pad))
+        assert isinstance(got, dict) is (pad not in BREAKS)
+
+
+class TestHostileWidths:
+    def test_one_huge_id_stays_small(self, tmp_path):
+        rows = [f"q{i % 2000},w{i // 2000},{i % 2}" for i in range(10_000)]
+        rows.insert(5_000, f"{'x' * 1_000_000},w0,1")
+        path = tmp_path / "l.csv"
+        path.write_text("\n".join([LABELS_HEADER, *rows]) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            matrix = load_labels(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix == loader_fuzz.reference_load_labels(path)
+        assert matrix.item_ids[2_000] == "x" * 1_000_000
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("prefix", [7, 8, 15, 16, 31, 32, 40])
+    def test_ids_sharing_a_prefix_are_distinct(self, tmp_path, prefix):
+        ids = ["p" * prefix + "a", "p" * prefix + "b", "p" * prefix, "p" * prefix + "a"]
+        path = write(tmp_path, "l.csv", "\n".join(
+            [LABELS_HEADER, *(f"{q},w{t},0" for t, q in enumerate(ids))]))
+        m = load_labels(path)
+        assert m.item_ids == tuple(ids[:3])
+        assert list(m.items) == [0, 1, 2, 0]
+
+    def test_trailing_nul_is_part_of_the_id(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"question,worker,answer\nq1,w1,0\nq1\x00,w1,0\nq1,w2,1\n")
+        m = load_labels(path)
+        assert m.item_ids == ("q1", "q1\x00")
+        assert list(m.items) == [0, 1, 0]
 
 
 class TestRoundTrip:
