@@ -72,4 +72,4 @@ for j, weight in enumerate(bwa.worker_weights):
 ds = dawid_skene(matrix)
 print(f"\ndawid-skene:   {[matrix.label_names[k] for k in ds.hard_labels]}")
 print(f"dan's fitted confusion matrix (rows = true class):\n"
-      f"{np.round(ds.confusion[matrix.worker_index['dan']], 2)}")
+      f"{np.round(ds.confusion[matrix.worker_ids.index('dan')], 2)}")

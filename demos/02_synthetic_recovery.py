@@ -71,9 +71,8 @@ print("actual:    " + "  ".join(f"w{j}" for j in order_true[:3])
 
 counts = np.bincount(matrix.items * 2 + matrix.labels, minlength=2 * matrix.num_items)
 margin = np.abs(counts[0::2] - counts[1::2])
-close = margin <= 1
-idx, lab = truth.as_arrays()
-close_idx = idx[close[idx]]
-mv_close = float(np.mean(mv.labels[close_idx] == [truth[int(i)] for i in close_idx]))
-bwa_close = float(np.mean(bwa.hard_labels[close_idx] == [truth[int(i)] for i in close_idx]))
-print(f"\non the {close_idx.size} closest-vote items: mv {mv_close:.4f}, bwa {bwa_close:.4f}")
+items, labels = truth
+close = margin[items] <= 1
+close_truth = items[close], labels[close]
+print(f"\non the {close.sum()} closest-vote items: mv {accuracy(mv.labels, close_truth):.4f}, "
+      f"bwa {accuracy(bwa.hard_labels, close_truth):.4f}")

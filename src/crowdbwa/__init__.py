@@ -29,11 +29,9 @@ from .bwa import (
 )
 from .dataset import (
     BinaryView,
-    GroundTruth,
     LabelMatrix,
     ParseError,
     ValidationError,
-    VoteCounts,
     binary_view,
     load_labels,
     load_truth,
@@ -62,7 +60,6 @@ __all__ = [
     "DawidSkeneResult",
     "DsParams",
     "EvalReport",
-    "GroundTruth",
     "LabelMatrix",
     "MajorityVoteResult",
     "MethodSummary",
@@ -73,7 +70,6 @@ __all__ = [
     "SplitMix64",
     "SynthSpec",
     "ValidationError",
-    "VoteCounts",
     "WilcoxonResult",
     "accuracy",
     "adjust_error_rate",

@@ -61,9 +61,8 @@ def majority_vote(matrix: LabelMatrix) -> MajorityVoteResult:
 
     Items nobody labelled are flagged and reported as class 0.
     """
-    counts = vote_counts(matrix)
-    labels = np.argmax(counts.counts, axis=1).astype(np.int64)
-    return MajorityVoteResult(labels=labels, is_unlabeled=counts.totals == 0)
+    labels = np.argmax(vote_counts(matrix), axis=1).astype(np.int64)
+    return MajorityVoteResult(labels=labels, is_unlabeled=matrix.labels_per_item == 0)
 
 
 def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSkeneResult:
@@ -85,7 +84,7 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
 
     # Class-major state: posteriors[c] and log_odds[c] are contiguous rows of
     # length N, and every reduction over classes is elementwise across rows.
-    counts = vote_counts(matrix).counts.T.astype(np.float64, order="C")
+    counts = vote_counts(matrix).T.astype(np.float64, order="C")
     totals = counts.sum(axis=0)
     posteriors = np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / k)
 

@@ -114,7 +114,6 @@ class BwaState:
     eqv: np.ndarray     # per-worker expected precision E[v_j]
     sse: np.ndarray     # per-worker sum of squared errors at z
     nll: float          # objective value at (z, mu), additive constant dropped
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -234,16 +233,19 @@ def estimate_error_rate(matrix: LabelMatrix, epsilon_floor: float = 1e-6) -> flo
     classic ``sum_i n_i0 n_i1 / (n_i0 + n_i1)`` over the total label
     count. The raw value never exceeds 1/4; it is clamped below at
     ``epsilon_floor`` so downstream pseudo-counts stay positive.
+
+    The pooled mass is divided by the declared class count, so a class
+    no worker used (one added by ``--k``, or a gap in integer labels)
+    dilutes the estimate, and ``b_v`` with it: binary labels declared
+    as 3 classes give 2/3 of the 2-class value.
     """
     if matrix.num_labels == 0:
         raise ValueError("cannot estimate an error rate without labels")
-    counts = vote_counts(matrix).counts.astype(np.float64)
-    totals = counts.sum(axis=1)
-    labelled = totals > 0
-    counts = counts[labelled]
-    totals_l = totals[labelled]
-    per_cell = counts * (totals_l[:, None] - counts) / totals_l[:, None]
-    raw = _exact_total(per_cell.ravel()) / (matrix.num_classes * totals_l.sum())
+    labelled = matrix.labels_per_item > 0
+    counts = vote_counts(matrix)[labelled].astype(np.float64)
+    totals = matrix.labels_per_item[labelled][:, None]
+    per_cell = counts * (totals - counts) / totals
+    raw = _exact_total(per_cell.ravel()) / (matrix.num_classes * matrix.num_labels)
     return max(raw, epsilon_floor)
 
 
@@ -305,9 +307,10 @@ def _expectation(z, view: BinaryView, hp) -> tuple[np.ndarray, np.ndarray]:
     # the squared residual of a label y on item i: z_i**2, then (z_i - 1)**2
     table = z - _LABEL_VALUES
     table *= table
-    n_j = view.labels_per_worker
+    m = view.matrix
+    n_j = m.labels_per_worker
     sse = _exact_sums(table.ravel(), view.residual_used, view.residual_index,
-                      view.workers, view.num_workers, view.matrix.max_labels_per_worker)
+                      m.workers, m.num_workers, m.max_labels_per_worker)
     # Each squared residual is <= 1, so SSE_j <= |N_j|; clamp away any
     # overshoot from the last bits the sums drop, to preserve the
     # minimum-weight guarantee E[v_j] >= 1 when b_v <= a_v.
@@ -321,7 +324,7 @@ def _objective(z, mu, sse, view: BinaryView, hp) -> float:
     dev = z - mu
     item_term = 0.5 * hp.lam * _exact_total(dev * dev)
     worker_term = _exact_total(
-        0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)
+        0.5 * (hp.a_v + view.matrix.labels_per_worker) * np.log(hp.b_v + sse)
     )
     return item_term + worker_term
 
@@ -336,16 +339,16 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     otherwise.
     """
     _check_resolved(hp)
-    totals = view.labels_per_item
+    totals = view.matrix.labels_per_item
     z = np.where(
         totals > 0,
         view.positives_per_item / np.maximum(totals, 1),
         0.5,
     )
-    mu = _exact_total(z) / view.num_items
+    mu = _exact_total(z) / view.matrix.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
-    return BwaState(z=z, mu=mu, eqv=eqv, sse=sse, nll=nll, iteration=0)
+    return BwaState(z=z, mu=mu, eqv=eqv, sse=sse, nll=nll)
 
 
 def e_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
@@ -367,18 +370,18 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     new ``z``. Updating sequentially keeps the objective non-increasing.
     """
     _check_resolved(hp)
-    eqv, size = state.eqv, view.matrix.max_labels_per_item
-    den = _exact_sums(eqv, view.worker_has_label, view.workers, view.items,
-                      view.num_items, size)
+    m, eqv = view.matrix, state.eqv
+    size = m.max_labels_per_item
+    den = _exact_sums(eqv, view.worker_has_label, m.workers, m.items, m.num_items, size)
     # only labels y = 1 add to the numerator
     focal_items, focal_workers = view.focal_rows
     num = _exact_sums(eqv, view.worker_has_focal, focal_workers, focal_items,
-                      view.num_items, size)
+                      m.num_items, size)
     z = (hp.lam * state.mu + num) / (hp.lam + den)
     # z is a convex combination of mu and {0,1} labels; clip the odd
     # one-ulp division overshoot so the [0,1] range invariant is exact.
     np.clip(z, 0.0, 1.0, out=z)
-    mu = _exact_total(z) / view.num_items
+    mu = _exact_total(z) / m.num_items
     return replace(state, z=z, mu=mu)
 
 
@@ -400,7 +403,7 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     and is non-increasing, and the stopping statistic in ``rel_trace``.
     Fully deterministic.
     """
-    if view.num_labels == 0:
+    if view.matrix.num_labels == 0:
         raise ValueError("cannot run aggregation on a view with no labels")
     hp = resolve(hp, view.matrix)
     state = init_state(view, hp)
@@ -413,7 +416,6 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
         state = m_step(state, view, hp)
         state = e_step(state, view, hp)
         state.nll = _objective(state.z, state.mu, state.sse, view, hp)
-        state.iteration = iterations
         trace.append(state.nll)
         rel = np.abs(state.z - z_prev) / np.maximum(np.abs(z_prev), REL_DIFF_FLOOR)
         rel_trace.append(float(rel.max()))

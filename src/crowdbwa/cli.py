@@ -225,6 +225,9 @@ def cmd_bench(args) -> int:
     methods = [_parse_method_token(t.strip()) for t in args.methods.split(",") if t.strip()]
     if not methods:
         raise ValidationError("no methods given")
+    baseline = next((t for t, m, _ in methods if m == "mv"), None)
+    if baseline is None:
+        raise ValidationError("bench requires mv among the methods (it is the baseline)")
 
     datasets = []
     for entry in sorted(root.iterdir()):
@@ -244,10 +247,13 @@ def cmd_bench(args) -> int:
     if not datasets:
         raise ValidationError(f"no datasets with labels and truth found under {root}")
 
-    runs = []
+    loaded = []
     for name, label_file, truth_file in datasets:
         matrix = load_labels(label_file)
-        truth = load_truth(truth_file, matrix)
+        loaded.append((name, matrix, _load_truth(truth_file, matrix)))
+
+    runs = []
+    for name, matrix, truth in loaded:
         for token, method, hp in methods:
             started = time.perf_counter()
             if method == "mv":
@@ -260,9 +266,6 @@ def cmd_bench(args) -> int:
             runs.append((token, name, predictions, truth, elapsed))
             print(f"{name} / {token}: {elapsed:.3f}s", file=sys.stderr)
 
-    baseline = next((t for t, m, _ in methods if m == "mv"), None)
-    if baseline is None:
-        raise ValidationError("bench requires mv among the methods (it is the baseline)")
     report = build_report(runs, baseline=baseline)
     if args.out:
         Path(args.out).write_text(report.to_json() + "\n")
@@ -272,7 +275,7 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
-    truth = load_truth(args.truth, matrix)
+    truth = _load_truth(args.truth, matrix)
     grid = [float(v) for v in args.grid.split(",") if v.strip()]
     if not grid:
         raise ValidationError("empty a_v grid")
@@ -332,19 +335,28 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
-    truth = load_truth(args.truth, matrix)
+    truth = _load_truth(args.truth, matrix)
+    items = truth[0]
     predictions, predicted = load_predictions(args.predictions, matrix)
     acc = accuracy(predictions, truth)
-    n_missing = int(np.count_nonzero(~predicted[truth.as_arrays()[0]]))
+    n_missing = int(np.count_nonzero(~predicted[items]))
     if n_missing:
         print(
-            f"warning: {n_missing} of {len(truth)} evaluated items have no prediction "
+            f"warning: {n_missing} of {items.size} evaluated items have no prediction "
             "and were scored as class 0",
             file=sys.stderr,
         )
-    print(json.dumps({"accuracy": acc, "n_evaluated": len(truth), "n_missing": n_missing},
+    print(json.dumps({"accuracy": acc, "n_evaluated": items.size, "n_missing": n_missing},
                      sort_keys=True))
     return 0
+
+
+def _load_truth(path, matrix):
+    """``load_truth``, refusing a file without rows: no accuracy is defined on it."""
+    truth = load_truth(path, matrix)
+    if not truth[0].size:
+        raise ValidationError(f"{path}: no truth rows after the header")
+    return truth
 
 
 if __name__ == "__main__":

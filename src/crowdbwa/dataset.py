@@ -100,10 +100,6 @@ class LabelMatrix:
         return {name: i for i, name in enumerate(self.item_ids)}
 
     @cached_property
-    def worker_index(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.worker_ids)}
-
-    @cached_property
     def label_index(self) -> dict[str, int]:
         return {name: k for k, name in enumerate(self.label_names)}
 
@@ -217,100 +213,31 @@ def _recode(codes, ids, universe, kind: str) -> tuple[np.ndarray, tuple[str, ...
     return np.array(lookup, dtype=np.int64)[codes], universe
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """Partial map from dense item index to true class index."""
-
-    mapping: dict[int, int]
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self.mapping
-
-    def __getitem__(self, item: int) -> int:
-        return self.mapping[item]
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(item indices, labels), sorted by item index."""
-        if not self.mapping:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        idx = np.array(sorted(self.mapping), dtype=np.int64)
-        lab = np.array([self.mapping[i] for i in idx], dtype=np.int64)
-        return idx, lab
-
-
-@dataclass(frozen=True)
-class VoteCounts:
-    """Per item, the number of workers voting for each class."""
-
-    counts: np.ndarray  # (num_items, num_classes) int64
-
-    @property
-    def totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-
 @dataclass(eq=False)
 class BinaryView:
     """One-versus-rest view of a label matrix for a focal class.
 
-    Exposes, over exactly the observed (item, worker) pairs, the
-    indicator that the worker's label equals the focal class. Across the
-    ``num_classes`` views of one matrix, each pair's indicators sum to 1.
+    Caches, over exactly the observed (item, worker) pairs, the index
+    arrays that the binary model reads for the focal class; everything
+    else it reads from ``matrix``.
     """
 
     matrix: LabelMatrix
     focal_class: int
 
-    @property
-    def items(self) -> np.ndarray:
-        return self.matrix.items
-
-    @property
-    def workers(self) -> np.ndarray:
-        return self.matrix.workers
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        """Indicator values, float64 in {0.0, 1.0}, one per triple."""
-        y = (self.matrix.labels == self.focal_class).astype(np.float64)
-        y.setflags(write=False)
-        return y
-
-    @property
-    def num_items(self) -> int:
-        return self.matrix.num_items
-
-    @property
-    def num_workers(self) -> int:
-        return self.matrix.num_workers
-
-    @property
-    def num_labels(self) -> int:
-        return self.matrix.num_labels
-
-    @property
-    def labels_per_item(self) -> np.ndarray:
-        return self.matrix.labels_per_item
-
-    @property
-    def labels_per_worker(self) -> np.ndarray:
-        return self.matrix.labels_per_worker
-
     @cached_property
     def positives_per_item(self) -> np.ndarray:
         """Per item, how many workers voted for the focal class."""
-        pos = np.bincount(self.focal_rows[0], minlength=self.num_items)
+        pos = np.bincount(self.focal_rows[0], minlength=self.matrix.num_items)
         pos.setflags(write=False)
         return pos
 
     @cached_property
     def focal_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(items, workers) of the triples labelled with the focal class."""
-        focal = self.matrix.labels == self.focal_class
-        rows = self.items[focal], self.workers[focal]
+        m = self.matrix
+        focal = m.labels == self.focal_class
+        rows = m.items[focal], m.workers[focal]
         for arr in rows:
             arr.setflags(write=False)
         return rows
@@ -322,7 +249,8 @@ class BinaryView:
         The position of the triple's squared residual in a per-item table
         laid out as ``[z**2, (z - 1)**2]``.
         """
-        index = self.items + self.num_items * (self.matrix.labels == self.focal_class)
+        m = self.matrix
+        index = m.items + m.num_items * (m.labels == self.focal_class)
         index.setflags(write=False)
         return index
 
@@ -334,34 +262,35 @@ class BinaryView:
         the focal class.
         """
         pos = self.positives_per_item
-        used = np.concatenate((self.labels_per_item > pos, pos > 0))
+        used = np.concatenate((self.matrix.labels_per_item > pos, pos > 0))
         used.setflags(write=False)
         return used
 
     @cached_property
     def worker_has_label(self) -> np.ndarray:
         """Per worker, whether they labelled any item."""
-        used = self.labels_per_worker > 0
+        used = self.matrix.labels_per_worker > 0
         used.setflags(write=False)
         return used
 
     @cached_property
     def worker_has_focal(self) -> np.ndarray:
         """Per worker, whether they gave the focal class to any item."""
-        used = np.bincount(self.focal_rows[1], minlength=self.num_workers) > 0
+        used = np.bincount(self.focal_rows[1], minlength=self.matrix.num_workers) > 0
         used.setflags(write=False)
         return used
 
 
-def vote_counts(matrix: LabelMatrix) -> VoteCounts:
-    """Tally per-item, per-class vote counts."""
+def vote_counts(matrix: LabelMatrix) -> np.ndarray:
+    """Per item, the number of workers voting for each class: a read-only
+    (num_items, num_classes) int64 array."""
     flat = np.bincount(
         matrix.items * matrix.num_classes + matrix.labels,
         minlength=matrix.num_items * matrix.num_classes,
     )
     counts = flat.reshape(matrix.num_items, matrix.num_classes)
     counts.setflags(write=False)
-    return VoteCounts(counts=counts)
+    return counts
 
 
 def binary_view(matrix: LabelMatrix, focal_class: int) -> BinaryView:
@@ -391,14 +320,16 @@ def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
     return _build(columns, num_classes, check=check)
 
 
-def load_truth(path, matrix: LabelMatrix) -> GroundTruth:
+def load_truth(path, matrix: LabelMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Load a truth file (header ``question,truth``) against ``matrix``.
 
     Every item id must be known to the matrix, and every truth label
-    must map into the matrix's label space.
+    must map into the matrix's label space. Returns the truth as
+    ``(items, labels)``: int64 item and class indices, sorted by item.
     """
     items, labels = _read_item_labels(path, TRUTH_HEADER, matrix, "truth")
-    return GroundTruth(mapping=dict(zip(items.tolist(), labels.tolist())))
+    order = np.argsort(items)
+    return items[order], labels[order]
 
 
 def load_predictions(path, matrix: LabelMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -667,9 +598,10 @@ def save_labels(matrix: LabelMatrix, path) -> None:
                 _names(matrix.label_names, matrix.labels))
 
 
-def save_truth(truth: GroundTruth, matrix: LabelMatrix, path) -> None:
-    """Write ``truth`` in the truth file format, sorted by item index."""
-    items, labels = truth.as_arrays()
+def save_truth(truth: tuple[np.ndarray, np.ndarray], matrix: LabelMatrix, path) -> None:
+    """Write ``truth``, ``(items, labels)`` sorted by item, in the truth
+    file format."""
+    items, labels = truth
     _write_rows(path, TRUTH_HEADER, _names(matrix.item_ids, items),
                 _names(matrix.label_names, labels))
 

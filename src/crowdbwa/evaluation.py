@@ -17,8 +17,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import GroundTruth
-
 #: Largest effective sample size for which the exact tail is computed
 #: (2^25 sign patterns; counted in closed form, not materialised).
 EXACT_P_MAX_N = 25
@@ -125,12 +123,12 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def accuracy(predictions: np.ndarray, truth: GroundTruth) -> float:
-    """Fraction of truth-covered items predicted correctly."""
-    if len(truth) == 0:
+def accuracy(predictions: np.ndarray, truth: tuple[np.ndarray, np.ndarray]) -> float:
+    """Fraction of the truth's ``(items, labels)`` predicted correctly."""
+    items, labels = truth
+    if not items.size:
         raise ValueError("ground truth is empty")
-    idx, lab = truth.as_arrays()
-    return float(np.mean(np.asarray(predictions)[idx] == lab))
+    return float(np.mean(np.asarray(predictions)[items] == labels))
 
 
 def wilcoxon_one_sided(diffs) -> WilcoxonResult:
@@ -198,7 +196,7 @@ def build_report(runs, baseline: str = "mv") -> EvalReport:
                 method=method,
                 dataset=ds,
                 accuracy=acc,
-                n_evaluated=len(truth),
+                n_evaluated=truth[0].size,
                 runtime_seconds=float(runtime),
             )
         )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GroundTruth, LabelMatrix
+from .dataset import LabelMatrix
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -164,8 +164,10 @@ def _draw_confusions(spec: SynthSpec, u: np.ndarray) -> np.ndarray:
     return conf
 
 
-def generate(spec: SynthSpec) -> tuple[LabelMatrix, GroundTruth]:
-    """Sample a labelled dataset and its complete ground truth.
+def generate(spec: SynthSpec) -> tuple[LabelMatrix, tuple[np.ndarray, np.ndarray]]:
+    """Sample a labelled dataset and its complete ground truth, the
+    latter as ``(items, labels)``: ``arange(num_items)`` and each item's
+    true class, both int64.
 
     Item i gets external id ``q{i}`` and worker j gets ``w{j}``; dense
     indices coincide with the generation indices because the full id
@@ -189,14 +191,15 @@ def generate(spec: SynthSpec) -> tuple[LabelMatrix, GroundTruth]:
     for c in range(k - 1):
         labels += label_cdfs[cdf_rows, c] <= draws[:, 1 + r:]
 
+    items = np.arange(n, dtype=np.int64)
     matrix = LabelMatrix(
-        np.repeat(np.arange(n, dtype=np.int64), r), picks.ravel(), labels.ravel(),
+        np.repeat(items, r), picks.ravel(), labels.ravel(),
         n, w, k,
         tuple(f"q{i}" for i in range(n)),
         tuple(f"w{j}" for j in range(w)),
         tuple(map(str, range(k))),
     )
-    return matrix, GroundTruth(mapping=dict(enumerate(truth.tolist())))
+    return matrix, (items, truth)
 
 
 def _pick_workers(u: np.ndarray, population: int) -> np.ndarray:

@@ -113,7 +113,7 @@ def row_major_dawid_skene(matrix, params=DsParams()):
     items, workers, labels = matrix.items, matrix.workers, matrix.labels
     s = params.smoothing
 
-    counts = vote_counts(matrix).counts.astype(np.float64)
+    counts = vote_counts(matrix).astype(np.float64)
     totals = counts.sum(axis=1)
     posteriors = np.where(
         totals[:, None] > 0, counts / np.maximum(totals, 1)[:, None], 1.0 / k

@@ -90,11 +90,17 @@ def _reference_resolve(hp, matrix):
                     tolerance=hp.tolerance, max_iters=hp.max_iters)
 
 
+def _indicator(view):
+    """Per label, 1.0 if it is the view's focal class, else 0.0."""
+    return (view.matrix.labels == view.focal_class).astype(np.float64)
+
+
 def _reference_expectation(z, view, hp):
-    residuals = z[view.items] - view.y
-    n_j = view.labels_per_worker
-    sse = _reference_exact_sums(residuals * residuals, view.workers, view.num_workers,
-                                view.matrix.max_labels_per_worker)
+    m = view.matrix
+    residuals = z[m.items] - _indicator(view)
+    n_j = m.labels_per_worker
+    sse = _reference_exact_sums(residuals * residuals, m.workers, m.num_workers,
+                                m.max_labels_per_worker)
     np.minimum(sse, n_j, out=sse)
     return sse, (hp.a_v + n_j) / (hp.b_v + sse)
 
@@ -103,26 +109,27 @@ def _reference_objective(z, mu, sse, view, hp):
     dev = z - mu
     item_term = 0.5 * hp.lam * math.fsum((dev * dev).tolist())
     worker_term = math.fsum(
-        (0.5 * (hp.a_v + view.labels_per_worker) * np.log(hp.b_v + sse)).tolist()
+        (0.5 * (hp.a_v + view.matrix.labels_per_worker) * np.log(hp.b_v + sse)).tolist()
     )
     return item_term + worker_term
 
 
 def _reference_m_step(z, mu, eqv, view, hp):
-    w = eqv[view.workers]
-    size = view.matrix.max_labels_per_item
-    den = _reference_exact_sums(w, view.items, view.num_items, size)
-    num = _reference_exact_sums(w * view.y, view.items, view.num_items, size)
+    m = view.matrix
+    w = eqv[m.workers]
+    size = m.max_labels_per_item
+    den = _reference_exact_sums(w, m.items, m.num_items, size)
+    num = _reference_exact_sums(w * _indicator(view), m.items, m.num_items, size)
     z = (hp.lam * mu + num) / (hp.lam + den)
     np.clip(z, 0.0, 1.0, out=z)
-    return z, math.fsum(z.tolist()) / view.num_items
+    return z, math.fsum(z.tolist()) / m.num_items
 
 
 def _reference_run_em_binary(view, hp):
     """(scores, mu, worker weights, nll trace, converged, iterations)"""
-    totals = view.labels_per_item
+    totals = view.matrix.labels_per_item
     z = np.where(totals > 0, view.positives_per_item / np.maximum(totals, 1), 0.5)
-    mu = math.fsum(z.tolist()) / view.num_items
+    mu = math.fsum(z.tolist()) / view.matrix.num_items
     sse, eqv = _reference_expectation(z, view, hp)
     trace = [_reference_objective(z, mu, sse, view, hp)]
     converged = False
@@ -177,6 +184,19 @@ class TestErrorRate:
             ]
             m = matrix_from(rows, num_classes=2)
             assert estimate_error_rate(m) <= 0.25
+
+    def test_phantom_class_dilutes_epsilon(self):
+        # a declared class that no label uses still counts in the K that
+        # divides the pooled mass, so K=3 on binary labels scales eps by 2/3
+        m, _ = generate(SynthSpec(num_items=2000, num_workers=50, num_classes=2,
+                                  redundancy=5, seed=3))
+        wide = replace(m, num_classes=3, label_names=("0", "1", "2"))
+        eps = estimate_error_rate(m)
+        assert eps == pytest.approx(0.14484, rel=1e-12)
+        assert estimate_error_rate(wide) == pytest.approx(0.09656, rel=1e-12)
+        assert estimate_error_rate(wide) == pytest.approx(eps * 2 / 3, rel=1e-12)
+        hp = PROFILES["av30-original"]
+        assert resolve(hp, wide).b_v == pytest.approx(resolve(hp, m).b_v * 2 / 3, rel=1e-12)
 
 
 class TestAdjustErrorRate:
@@ -464,13 +484,13 @@ class TestExactSums:
         z = np.random.default_rng(1).random(m.num_items)
         for k in range(3):
             view = binary_view(m, k)
-            residuals = z[view.items] - view.y
+            residuals = z[m.items] - _indicator(view)
             size = m.max_labels_per_worker
-            expected = _reference_exact_sums(residuals * residuals, view.workers,
+            expected = _reference_exact_sums(residuals * residuals, m.workers,
                                              m.num_workers, size)
             table = np.r_[z * z, (z - 1.0) ** 2]
             sums = _exact_sums(table, view.residual_used, view.residual_index,
-                               view.workers, m.num_workers, size)
+                               m.workers, m.num_workers, size)
             assert sums.tobytes() == expected.tobytes()
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import crowdbwa
+from crowdbwa import cli
 from crowdbwa.cli import main
 
 FIXTURE = "question,worker,answer\nq1,w1,A\nq1,w2,B\nq2,w1,A\n"
@@ -326,6 +327,32 @@ class TestBench:
                            "--methods", "bwa,ds")
         assert code == 1
         assert "baseline" in err
+        assert "ds1 / " not in err  # no method ran
+
+    def test_n_evaluated_is_truth_row_count(self, tmp_path, capsys):
+        make_dataset(tmp_path, capsys, "ds1", 1)
+        truth = make_dataset(tmp_path, capsys, "ds2", 2) / "truth.csv"
+        truth.write_text("\n".join(truth.read_text().splitlines()[:22]) + "\n")
+        report_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "bench", "--data", str(tmp_path / "data"),
+                         "--methods", "mv,ds,bwa", "--out", str(report_path))
+        assert code == 0
+        scores = json.loads(report_path.read_text())["scores"]
+        assert len(scores) == 6
+        for s in scores:
+            truth = tmp_path / "data" / s["dataset"] / "truth.csv"
+            assert s["n_evaluated"] == len(truth.read_text().splitlines()) - 1
+        assert {s["dataset"]: s["n_evaluated"] for s in scores} == {"ds1": 30, "ds2": 21}
+
+    def test_header_only_truth_fails_before_any_method(self, tmp_path, capsys):
+        make_dataset(tmp_path, capsys, "ds1", 1)
+        truth = make_dataset(tmp_path, capsys, "ds2", 2) / "truth.csv"
+        truth.write_text("question,truth\n")
+        code, out, err = run(capsys, "bench", "--data", str(tmp_path / "data"),
+                             "--methods", "mv,bwa")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {truth}: no truth rows after the header\n"
 
 
 class TestSweep:
@@ -367,6 +394,20 @@ class TestSweep:
         for accs in by_strategy.values():
             assert len(accs) == 5
             assert max(accs) - min(accs) < 0.02
+
+    def test_header_only_truth_fails_before_any_method(self, tmp_path, capsys, monkeypatch):
+        d = make_dataset(tmp_path, capsys, "ds1", 6)
+        (d / "truth.csv").write_text("question,truth\n")
+
+        def never(*args):
+            raise AssertionError("a method ran")
+
+        monkeypatch.setattr(cli, "aggregate_multiclass", never)
+        code, out, err = run(capsys, "sweep", "--labels", str(d / "labels.csv"),
+                             "--truth", str(d / "truth.csv"), "--grid", "1,15")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {d / 'truth.csv'}: no truth rows after the header\n"
 
 
 class TestEval:
@@ -440,3 +481,14 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert "pred.csv:3: unknown prediction label '1'" in err
+
+    def test_header_only_truth_fails(self, tmp_path, capsys):
+        labels, truth, pred = tmp_path / "l.csv", tmp_path / "t.csv", tmp_path / "pred.csv"
+        labels.write_text(FIXTURE)
+        truth.write_text("question,truth\n")
+        pred.write_text("question,label\nq1,A\nq2,B\n")
+        code, out, err = run(capsys, "eval", "--labels", str(labels),
+                             "--predictions", str(pred), "--truth", str(truth))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {truth}: no truth rows after the header\n"

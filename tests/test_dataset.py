@@ -229,8 +229,7 @@ def compare_truth(tmp_path, text):
     path.write_bytes(text.encode("utf-8"))
     expected = item_label_fuzz.outcome(
         lambda p, m: item_label_fuzz.reference_load(p, m, TRUTH_HEADER, "truth"), path, matrix)
-    assert item_label_fuzz.outcome(lambda p, m: load_truth(p, m).mapping, path,
-                                   matrix) == expected
+    assert item_label_fuzz.outcome(item_label_fuzz.read_truth, path, matrix) == expected
     return expected
 
 
@@ -340,16 +339,14 @@ class TestRoundTrip:
         truth = load_truth(write(tmp_path, "t.csv", "question,truth\nq1,A\nq3,B\n"), m)
         out = tmp_path / "t2.csv"
         save_truth(truth, m, out)
-        assert load_truth(out, m).mapping == truth.mapping
+        assert read_truth(out, m) == item_label_fuzz.truth_map(truth)
 
 
 class TestLoadTruth:
     def test_partial_coverage(self, tmp_path):
         m = load_labels(write(tmp_path, "l.csv",
                               "question,worker,answer\nq1,w1,A\nq2,w1,B\n"))
-        truth = load_truth(write(tmp_path, "t.csv", "question,truth\nq1,B\n"), m)
-        assert len(truth) == 1
-        assert truth[0] == 1
+        assert read_truth(write(tmp_path, "t.csv", "question,truth\nq1,B\n"), m) == {0: 1}
 
     def test_unknown_item_rejected(self, tmp_path):
         m = load_labels(write(tmp_path, "l.csv", "question,worker,answer\nq1,w1,A\n"))
@@ -371,12 +368,10 @@ class TestLoadTruth:
             write(tmp_path, "l.csv", "question,worker,answer\nq1,w1,0\nq2,w1,1\n"),
             num_classes=3,
         )
-        truth = load_truth(write(tmp_path, "t.csv", "question,truth\nq2,2\n"), m)
-        assert truth[1] == 2
+        assert read_truth(write(tmp_path, "t.csv", "question,truth\nq2,2\n"), m) == {1: 2}
 
 
-def read_truth(path, matrix):
-    return load_truth(path, matrix).mapping
+read_truth = item_label_fuzz.read_truth
 
 
 def read_predictions(path, matrix):
@@ -544,20 +539,21 @@ class TestVoteCounts:
             [("q0", "w0", "0"), ("q0", "w1", "0"), ("q0", "w2", "1")], num_classes=2
         )
         vc = vote_counts(m)
-        assert vc.counts.tolist() == [[2, 1]]
-        assert vc.totals.tolist() == [3]
+        assert vc.dtype == np.int64 and not vc.flags.writeable
+        assert vc.tolist() == [[2, 1]]
+        assert vc.sum(axis=1).tolist() == [3]
 
     def test_unlabelled_item_all_zero(self):
         m = LabelMatrix.from_triples(
             [("q0", "w0", "0")], item_ids=["q0", "q1"], num_classes=2
         )
-        assert vote_counts(m).counts[1].tolist() == [0, 0]
+        assert vote_counts(m)[1].tolist() == [0, 0]
 
     def test_three_classes_unanimous(self):
         m = LabelMatrix.from_triples(
             [("q0", "w0", "2"), ("q0", "w1", "2"), ("q0", "w2", "2")], num_classes=3
         )
-        assert vote_counts(m).counts.tolist() == [[0, 0, 3]]
+        assert vote_counts(m).tolist() == [[0, 0, 3]]
 
     def test_row_sums_match_labels_per_item(self):
         rng = np.random.default_rng(0)
@@ -567,14 +563,20 @@ class TestVoteCounts:
             for j in rng.choice(8, size=3, replace=False)
         ]
         m = LabelMatrix.from_triples(rows, num_classes=4)
-        assert np.array_equal(vote_counts(m).totals, m.labels_per_item)
+        assert np.array_equal(vote_counts(m).sum(axis=1), m.labels_per_item)
+
+
+def indicator(view):
+    """Per label, 1.0 if it is the view's focal class, else 0.0, read off
+    its residual index ``item + num_items * y``."""
+    return (view.residual_index // view.matrix.num_items).astype(np.float64)
 
 
 class TestBinaryView:
     def test_indicator_values(self):
         m = LabelMatrix.from_triples([("q0", "w0", "2")], num_classes=3)
-        assert binary_view(m, 2).y.tolist() == [1.0]
-        assert binary_view(m, 0).y.tolist() == [0.0]
+        assert indicator(binary_view(m, 2)).tolist() == [1.0]
+        assert indicator(binary_view(m, 0)).tolist() == [0.0]
 
     def test_partition_of_unity(self):
         rng = np.random.default_rng(1)
@@ -584,7 +586,7 @@ class TestBinaryView:
             for j in rng.choice(6, size=2, replace=False)
         ]
         m = LabelMatrix.from_triples(rows, num_classes=3)
-        stacked = np.stack([binary_view(m, k).y for k in range(3)])
+        stacked = np.stack([indicator(binary_view(m, k)) for k in range(3)])
         assert np.array_equal(stacked.sum(axis=0), np.ones(m.num_labels))
 
     def test_out_of_range_class(self):

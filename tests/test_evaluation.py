@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crowdbwa.dataset import GroundTruth
 from crowdbwa.evaluation import (
     EvalReport,
     accuracy,
@@ -15,23 +14,29 @@ from crowdbwa.evaluation import (
 )
 
 
+def truth_from(mapping):
+    """An ``(items, labels)`` truth holding ``mapping``'s item-to-class pairs."""
+    return tuple(np.fromiter(column, np.int64, len(mapping))
+                 for column in (mapping.keys(), mapping.values()))
+
+
 class TestAccuracy:
     def test_all_correct(self):
-        truth = GroundTruth({0: 1, 1: 0})
+        truth = truth_from({0: 1, 1: 0})
         assert accuracy(np.array([1, 0]), truth) == 1.0
 
     def test_half_correct(self):
-        truth = GroundTruth({i: 0 for i in range(4)})
+        truth = truth_from({i: 0 for i in range(4)})
         assert accuracy(np.array([0, 0, 1, 1]), truth) == 0.5
 
     def test_items_outside_truth_ignored(self):
-        truth = GroundTruth({0: 1})
+        truth = truth_from({0: 1})
         assert accuracy(np.array([1, 0, 0, 0]), truth) == 1.0
         assert accuracy(np.array([1, 1, 1, 1]), truth) == 1.0
 
     def test_empty_truth_rejected(self):
         with pytest.raises(ValueError):
-            accuracy(np.array([0]), GroundTruth({}))
+            accuracy(np.array([0]), truth_from({}))
 
 
 def diffs_with_negative_ranks(n, negative_ranks, scale=1e-3):
@@ -121,7 +126,7 @@ class TestWilcoxon:
 
 
 def toy_truth(n=4):
-    return GroundTruth({i: 0 for i in range(n)})
+    return truth_from({i: 0 for i in range(n)})
 
 
 class TestBuildReport:

@@ -69,8 +69,17 @@ def reference_load(path, matrix, header, noun):
     return mapping
 
 
+def truth_map(truth):
+    """The item-to-class map of an ``(items, labels)`` truth, whose arrays
+    must be int64 and sorted by item."""
+    items, labels = truth
+    assert items.dtype == labels.dtype == np.int64
+    assert (np.diff(items) > 0).all()
+    return dict(zip(items.tolist(), labels.tolist()))
+
+
 def read_truth(path, matrix):
-    return load_truth(path, matrix).mapping
+    return truth_map(load_truth(path, matrix))
 
 
 def read_predictions(path, matrix):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from test_item_label_fuzz import truth_map
 
 from crowdbwa.baselines import majority_vote
 from crowdbwa.dataset import LabelMatrix, load_labels, load_truth, save_labels, save_truth
@@ -220,7 +221,7 @@ class TestGenerate:
         m1, t1 = generate(spec)
         m2, t2 = generate(spec)
         assert m1 == m2
-        assert t1.mapping == t2.mapping
+        assert truth_map(t1) == truth_map(t2)
 
     def test_different_seeds_differ(self):
         base = dict(num_items=40, num_workers=8, num_classes=2, redundancy=3)
@@ -234,8 +235,9 @@ class TestGenerate:
         spec = SynthSpec(num_items=60, num_workers=6, num_classes=k, redundancy=3,
                          seed=3, confusion=conf)
         matrix, truth = generate(spec)
+        true_class = truth_map(truth)
         assert np.array_equal(matrix.labels, np.array(
-            [truth[int(i)] for i in matrix.items]))
+            [true_class[i] for i in matrix.items.tolist()]))
         assert accuracy(majority_vote(matrix).labels, truth) == 1.0
 
     def test_random_workers_leave_majority_vote_at_chance(self):
@@ -249,8 +251,8 @@ class TestGenerate:
         spec = SynthSpec(num_items=8000, num_workers=5, num_classes=3, redundancy=1,
                          seed=23, class_prior=(0.6, 0.3, 0.1))
         _, truth = generate(spec)
-        _, labels = truth.as_arrays()
-        fractions = np.bincount(labels, minlength=3) / len(truth)
+        items, labels = truth
+        fractions = np.bincount(labels, minlength=3) / items.size
         assert fractions == pytest.approx([0.6, 0.3, 0.1], abs=0.02)
 
     def test_empirical_worker_accuracy_tracks_confusion_diagonal(self):
@@ -263,7 +265,8 @@ class TestGenerate:
         spec = SynthSpec(num_items=4000, num_workers=8, num_classes=k, redundancy=3,
                          seed=29, confusion=conf)
         matrix, truth = generate(spec)
-        truth_arr = np.array([truth[int(i)] for i in matrix.items])
+        true_class = truth_map(truth)
+        truth_arr = np.array([true_class[i] for i in matrix.items.tolist()])
         correct = matrix.labels == truth_arr
         for j, d in enumerate(diagonals):
             mask = matrix.workers == j
@@ -295,9 +298,8 @@ class TestGenerate:
         assert matrix == want_matrix
         for arr in (matrix.items, matrix.workers, matrix.labels):
             assert arr.dtype == np.int64
-        assert truth.mapping == want_truth
-        assert all(type(key) is int and type(value) is int
-                   for key, value in truth.mapping.items())
+        assert truth_map(truth) == want_truth
+        assert truth[0].dtype == truth[1].dtype == np.int64
         if spec.confusion is None:
             assert np.array_equal(draw_worker_confusions(spec),
                                   _reference_confusions(spec, SplitMix64(spec.seed)))
@@ -320,6 +322,6 @@ class TestGenerate:
             for i, j, k in zip(reloaded.items, reloaded.workers, reloaded.labels)
         }
         assert original == round_tripped
-        assert {reloaded.item_ids[i]: k for i, k in retruth.mapping.items()} == {
-            matrix.item_ids[i]: k for i, k in truth.mapping.items()
+        assert {reloaded.item_ids[i]: k for i, k in truth_map(retruth).items()} == {
+            matrix.item_ids[i]: k for i, k in truth_map(truth).items()
         }
