@@ -47,6 +47,9 @@ from .dataset import BinaryView, LabelMatrix, binary_view, vote_counts
 #: otherwise undefined at z_prev = 0.
 REL_DIFF_FLOOR = 1e-8
 
+#: Lower clamp on the error rate, so the prior mistake count b_v stays positive.
+EPSILON_FLOOR = 1e-6
+
 EPSILON_STRATEGIES = ("original", "adjusted", "fixed")
 
 #: The one-versus-rest label values, as a column against a row of z.
@@ -71,7 +74,6 @@ class BwaHyperParams:
     epsilon_strategy: str = "adjusted"
     tolerance: float = 1e-3
     max_iters: int = 500
-    epsilon_floor: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon_strategy not in EPSILON_STRATEGIES:
@@ -87,8 +89,6 @@ class BwaHyperParams:
             raise ValueError("tolerance must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.epsilon_floor > 0:
-            raise ValueError("epsilon_floor must be positive")
         if self.epsilon_strategy == "fixed":
             if self.b_v is None or not self.b_v > 0:
                 raise ValueError("strategy 'fixed' requires a positive b_v")
@@ -224,7 +224,7 @@ def _exact_total(x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def estimate_error_rate(matrix: LabelMatrix, epsilon_floor: float = 1e-6) -> float:
+def estimate_error_rate(matrix: LabelMatrix) -> float:
     """Overall error rate of the crowd against its own soft majority vote.
 
     Pooled over the one-versus-rest views: each item/class cell with
@@ -232,7 +232,7 @@ def estimate_error_rate(matrix: LabelMatrix, epsilon_floor: float = 1e-6) -> flo
     ``n * (m - n) / m`` disagreement mass. For two classes this is the
     classic ``sum_i n_i0 n_i1 / (n_i0 + n_i1)`` over the total label
     count. The raw value never exceeds 1/4; it is clamped below at
-    ``epsilon_floor`` so downstream pseudo-counts stay positive.
+    ``EPSILON_FLOOR`` so downstream pseudo-counts stay positive.
 
     The pooled mass is divided by the declared class count, so a class
     no worker used (one added by ``--k``, or a gap in integer labels)
@@ -246,7 +246,7 @@ def estimate_error_rate(matrix: LabelMatrix, epsilon_floor: float = 1e-6) -> flo
     totals = matrix.labels_per_item[labelled][:, None]
     per_cell = counts * (totals - counts) / totals
     raw = _exact_total(per_cell.ravel()) / (matrix.num_classes * matrix.num_labels)
-    return max(raw, epsilon_floor)
+    return max(raw, EPSILON_FLOOR)
 
 
 def adjust_error_rate(epsilon: float, num_classes: int) -> float:
@@ -262,13 +262,13 @@ def adjust_error_rate(epsilon: float, num_classes: int) -> float:
     return epsilon * 4.0 * (1.0 - 1.0 / num_classes)
 
 
-def derive_bv(a_v: float, epsilon: float, epsilon_floor: float = 1e-6) -> float:
+def derive_bv(a_v: float, epsilon: float) -> float:
     """Prior mistake count implied by an error rate: ``b_v = a_v * eps``."""
     if not a_v > 0:
         raise ValueError("a_v must be positive")
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    b_v = a_v * max(epsilon, epsilon_floor)
+    b_v = a_v * max(epsilon, EPSILON_FLOOR)
     if b_v > a_v:
         warnings.warn(
             f"b_v={b_v:g} exceeds a_v={a_v:g}; workers may receive weights "
@@ -282,14 +282,10 @@ def resolve(hp: BwaHyperParams, matrix: LabelMatrix) -> BwaHyperParams:
     """Pin ``b_v`` for ``matrix``, returning a ``"fixed"``-strategy copy."""
     if hp.epsilon_strategy == "fixed":
         return hp
-    eps = estimate_error_rate(matrix, hp.epsilon_floor)
+    eps = estimate_error_rate(matrix)
     if hp.epsilon_strategy == "adjusted":
         eps = adjust_error_rate(eps, matrix.num_classes)
-    return replace(
-        hp,
-        b_v=derive_bv(hp.a_v, eps, hp.epsilon_floor),
-        epsilon_strategy="fixed",
-    )
+    return replace(hp, b_v=derive_bv(hp.a_v, eps), epsilon_strategy="fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +335,11 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     otherwise.
     """
     _check_resolved(hp)
-    totals = view.matrix.labels_per_item
-    z = np.where(
-        totals > 0,
-        view.positives_per_item / np.maximum(totals, 1),
-        0.5,
-    )
-    mu = _exact_total(z) / view.matrix.num_items
+    m = view.matrix
+    totals = m.labels_per_item
+    positives = np.bincount(view.focal_items, minlength=m.num_items)
+    z = np.where(totals > 0, positives / np.maximum(totals, 1), 0.5)
+    mu = _exact_total(z) / m.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
     return BwaState(z=z, mu=mu, eqv=eqv, sse=sse, nll=nll)
@@ -372,10 +366,9 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     _check_resolved(hp)
     m, eqv = view.matrix, state.eqv
     size = m.max_labels_per_item
-    den = _exact_sums(eqv, view.worker_has_label, m.workers, m.items, m.num_items, size)
+    den = _exact_sums(eqv, m.labels_per_worker > 0, m.workers, m.items, m.num_items, size)
     # only labels y = 1 add to the numerator
-    focal_items, focal_workers = view.focal_rows
-    num = _exact_sums(eqv, view.worker_has_focal, focal_workers, focal_items,
+    num = _exact_sums(eqv, view.worker_has_focal, view.focal_workers, view.focal_items,
                       m.num_items, size)
     z = (hp.lam * state.mu + num) / (hp.lam + den)
     # z is a convex combination of mu and {0,1} labels; clip the odd

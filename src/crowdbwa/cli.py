@@ -90,9 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated a_v values; both error-rate strategies are run",
     )
     sweep.add_argument("--k", type=int, default=None)
-    sweep.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sweep.add_argument("--tolerance", type=float, default=1e-3)
-    sweep.add_argument("--max-iters", type=int, default=500)
+    sweep.add_argument("--lambda", dest="lam", type=float, default=None)
+    sweep.add_argument("--tolerance", type=float, default=None)
+    sweep.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     sweep.add_argument("--out", default=None, help="CSV output (a_v,strategy,accuracy)")
     sweep.set_defaults(handler=cmd_sweep)
 
@@ -137,14 +137,14 @@ def _add_bwa_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
 
 
+def _given(args, *names: str) -> dict:
+    """The options among ``names`` that the command line set."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _hyper_params(args) -> BwaHyperParams:
-    hp = PROFILES[args.profile]
-    overrides = {
-        name: getattr(args, name)
-        for name in ("a_v", "epsilon_strategy", "lam", "tolerance", "max_iters")
-        if getattr(args, name) is not None
-    }
-    return replace(hp, **overrides) if overrides else hp
+    overrides = _given(args, "a_v", "epsilon_strategy", "lam", "tolerance", "max_iters")
+    return replace(PROFILES[args.profile], **overrides)
 
 
 def cmd_aggregate(args) -> int:
@@ -228,6 +228,10 @@ def cmd_bench(args) -> int:
     baseline = next((t for t, m, _ in methods if m == "mv"), None)
     if baseline is None:
         raise ValidationError("bench requires mv among the methods (it is the baseline)")
+    tokens = [token for token, _, _ in methods]
+    repeated = [token for n, token in enumerate(tokens) if token in tokens[:n]]
+    if repeated:
+        raise ValidationError(f"method {repeated[0]!r} is given twice")
 
     datasets = []
     for entry in sorted(root.iterdir()):
@@ -280,16 +284,11 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ValidationError("empty a_v grid")
 
+    settings = _given(args, "lam", "tolerance", "max_iters")
     records = []
     for a_v in grid:
         for strategy in ("original", "adjusted"):
-            hp = BwaHyperParams(
-                lam=args.lam,
-                a_v=a_v,
-                epsilon_strategy=strategy,
-                tolerance=args.tolerance,
-                max_iters=args.max_iters,
-            )
+            hp = BwaHyperParams(a_v=a_v, epsilon_strategy=strategy, **settings)
             result = aggregate_multiclass(matrix, hp)
             records.append((a_v, strategy, accuracy(result.hard_labels, truth)))
 

@@ -213,72 +213,26 @@ def _recode(codes, ids, universe, kind: str) -> tuple[np.ndarray, tuple[str, ...
     return np.array(lookup, dtype=np.int64)[codes], universe
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BinaryView:
     """One-versus-rest view of a label matrix for a focal class.
 
-    Caches, over exactly the observed (item, worker) pairs, the index
-    arrays that the binary model reads for the focal class; everything
-    else it reads from ``matrix``.
+    Holds, over exactly the observed (item, worker) pairs, the read-only
+    index arrays that every iteration of the binary model reads for the
+    focal class; everything else it reads from ``matrix``. Each mask
+    marks the table entries its index refers to, by one rule:
+    ``np.bincount(index, minlength=table_size) > 0``.
     """
 
     matrix: LabelMatrix
     focal_class: int
-
-    @cached_property
-    def positives_per_item(self) -> np.ndarray:
-        """Per item, how many workers voted for the focal class."""
-        pos = np.bincount(self.focal_rows[0], minlength=self.matrix.num_items)
-        pos.setflags(write=False)
-        return pos
-
-    @cached_property
-    def focal_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(items, workers) of the triples labelled with the focal class."""
-        m = self.matrix
-        focal = m.labels == self.focal_class
-        rows = m.items[focal], m.workers[focal]
-        for arr in rows:
-            arr.setflags(write=False)
-        return rows
-
-    @cached_property
-    def residual_index(self) -> np.ndarray:
-        """Per triple, ``item + num_items * y``.
-
-        The position of the triple's squared residual in a per-item table
-        laid out as ``[z**2, (z - 1)**2]``.
-        """
-        m = self.matrix
-        index = m.items + m.num_items * (m.labels == self.focal_class)
-        index.setflags(write=False)
-        return index
-
-    @cached_property
-    def residual_used(self) -> np.ndarray:
-        """Which entries of that table ``residual_index`` refers to.
-
-        Items with a label other than the focal class, then items with
-        the focal class.
-        """
-        pos = self.positives_per_item
-        used = np.concatenate((self.matrix.labels_per_item > pos, pos > 0))
-        used.setflags(write=False)
-        return used
-
-    @cached_property
-    def worker_has_label(self) -> np.ndarray:
-        """Per worker, whether they labelled any item."""
-        used = self.matrix.labels_per_worker > 0
-        used.setflags(write=False)
-        return used
-
-    @cached_property
-    def worker_has_focal(self) -> np.ndarray:
-        """Per worker, whether they gave the focal class to any item."""
-        used = np.bincount(self.focal_rows[1], minlength=self.matrix.num_workers) > 0
-        used.setflags(write=False)
-        return used
+    focal_items: np.ndarray       # items of the triples labelled with the focal class
+    focal_workers: np.ndarray     # and their workers
+    worker_has_focal: np.ndarray  # per worker, whether it is among ``focal_workers``
+    # Per triple, ``item + num_items * y``: the place of its squared
+    # residual in a per-item table laid out as ``[z**2, (z - 1)**2]``
+    residual_index: np.ndarray
+    residual_used: np.ndarray     # which entries of that table it refers to
 
 
 def vote_counts(matrix: LabelMatrix) -> np.ndarray:
@@ -299,7 +253,19 @@ def binary_view(matrix: LabelMatrix, focal_class: int) -> BinaryView:
         raise ValidationError(
             f"focal class {focal_class} out of range [0, {matrix.num_classes})"
         )
-    return BinaryView(matrix=matrix, focal_class=focal_class)
+    focal = matrix.labels == focal_class
+    focal_workers = matrix.workers[focal]
+    residual_index = matrix.items + matrix.num_items * focal
+    arrays = (matrix.items[focal], focal_workers, _used(focal_workers, matrix.num_workers),
+              residual_index, _used(residual_index, 2 * matrix.num_items))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return BinaryView(matrix, focal_class, *arrays)
+
+
+def _used(index: np.ndarray, size: int) -> np.ndarray:
+    """Which entries of a ``size``-entry table ``index`` refers to."""
+    return np.bincount(index, minlength=size) > 0
 
 
 def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
@@ -593,26 +559,48 @@ def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def save_labels(matrix: LabelMatrix, path) -> None:
     """Write ``matrix`` in the label file format, preserving triple order."""
-    _write_rows(path, LABELS_HEADER, _names(matrix.item_ids, matrix.items),
-                _names(matrix.worker_ids, matrix.workers),
-                _names(matrix.label_names, matrix.labels))
+    _write_rows(path, LABELS_HEADER, _names(matrix.item_ids, matrix.items, "item id"),
+                _names(matrix.worker_ids, matrix.workers, "worker id"),
+                _names(matrix.label_names, matrix.labels, "label"))
 
 
 def save_truth(truth: tuple[np.ndarray, np.ndarray], matrix: LabelMatrix, path) -> None:
     """Write ``truth``, ``(items, labels)`` sorted by item, in the truth
     file format."""
     items, labels = truth
-    _write_rows(path, TRUTH_HEADER, _names(matrix.item_ids, items),
-                _names(matrix.label_names, labels))
+    _write_rows(path, TRUTH_HEADER, _names(matrix.item_ids, items, "item id"),
+                _names(matrix.label_names, labels, "label"))
 
 
 def save_predictions(labels: np.ndarray, matrix: LabelMatrix, path) -> None:
     """Write one predicted class per item in the prediction file format."""
-    _write_rows(path, PREDICTIONS_HEADER, matrix.item_ids, _names(matrix.label_names, labels))
+    _check_names(matrix.item_ids, "item id")
+    _write_rows(path, PREDICTIONS_HEADER, matrix.item_ids,
+                _names(matrix.label_names, labels, "label"))
 
 
-def _names(names: Sequence[str], codes: np.ndarray) -> list[str]:
+def _names(names: Sequence[str], codes: np.ndarray, kind: str) -> list[str]:
+    """The ``names`` of ``codes``, once ``_check_names`` passes them."""
+    _check_names(names, kind)
     return np.array(names, dtype=object)[codes].tolist()
+
+
+def _check_names(names: Sequence[str], kind: str) -> None:
+    """Raise ``ValidationError`` naming the first of ``names`` that the
+    reader would not read back as written: one that is empty, holds a
+    comma or a line break, or starts or ends with whitespace."""
+    names = tuple(names)
+    text = ",".join(names)  # one C-level scan per separator covers every name
+    if (text.count(",") < len(names) and not any(map(text.__contains__, _BREAKS))
+            and "" not in names and tuple(map(str.strip, names)) == names):
+        return
+    bad = [name for name in names if not name or name != name.strip()
+           or any(map(name.__contains__, "," + _BREAKS))]
+    if bad:
+        raise ValidationError(
+            f"cannot save {kind} {bad[0]!r}: a name must be non-empty, hold no "
+            "comma or line break, and neither start nor end with whitespace"
+        )
 
 
 def _write_rows(path, header: str, *columns: Sequence[str]) -> None:

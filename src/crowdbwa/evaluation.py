@@ -68,22 +68,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        data = json.loads(text)
-        return cls(
-            scores=tuple(RunScore(**s) for s in data["scores"]),
-            summaries=tuple(
-                MethodSummary(
-                    method=s["method"],
-                    mean_accuracy=s["mean_accuracy"],
-                    wilcoxon=WilcoxonResult(**s["wilcoxon"]) if s["wilcoxon"] else None,
-                )
-                for s in data["summaries"]
-            ),
-            baseline=data["baseline"],
-        )
-
     def format_table(self) -> str:
         """Aligned plain-text rendering: accuracy grid plus summaries."""
         methods = [s.method for s in self.summaries]

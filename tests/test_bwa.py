@@ -13,6 +13,7 @@ import pytest
 
 from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
+    EPSILON_FLOOR,
     PROFILES,
     REL_DIFF_FLOOR,
     BwaHyperParams,
@@ -83,10 +84,10 @@ def _reference_resolve(hp, matrix):
     counts, totals = counts[totals > 0], totals[totals > 0]
     per_cell = counts * (totals[:, None] - counts) / totals[:, None]
     raw = math.fsum(per_cell.ravel().tolist()) / (matrix.num_classes * totals.sum())
-    eps = max(raw, hp.epsilon_floor)
+    eps = max(raw, EPSILON_FLOOR)
     if hp.epsilon_strategy == "adjusted":
         eps = adjust_error_rate(eps, matrix.num_classes)
-    return fixed_hp(hp.a_v, derive_bv(hp.a_v, eps, hp.epsilon_floor), lam=hp.lam,
+    return fixed_hp(hp.a_v, derive_bv(hp.a_v, eps), lam=hp.lam,
                     tolerance=hp.tolerance, max_iters=hp.max_iters)
 
 
@@ -128,7 +129,8 @@ def _reference_m_step(z, mu, eqv, view, hp):
 def _reference_run_em_binary(view, hp):
     """(scores, mu, worker weights, nll trace, converged, iterations)"""
     totals = view.matrix.labels_per_item
-    z = np.where(totals > 0, view.positives_per_item / np.maximum(totals, 1), 0.5)
+    positives = np.bincount(view.matrix.items, _indicator(view), view.matrix.num_items)
+    z = np.where(totals > 0, positives / np.maximum(totals, 1), 0.5)
     mu = math.fsum(z.tolist()) / view.matrix.num_items
     sse, eqv = _reference_expectation(z, view, hp)
     trace = [_reference_objective(z, mu, sse, view, hp)]

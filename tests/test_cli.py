@@ -329,6 +329,15 @@ class TestBench:
         assert "baseline" in err
         assert "ds1 / " not in err  # no method ran
 
+    def test_repeated_method_fails_before_any_method(self, tmp_path, capsys):
+        make_dataset(tmp_path, capsys, "ds1", 5)
+        code, out, err = run(capsys, "bench", "--data", str(tmp_path / "data"),
+                             "--methods", "mv,mv,bwa")
+        assert code == 1
+        assert out == ""
+        assert "'mv'" in err
+        assert "ds1 / " not in err  # no method ran
+
     def test_n_evaluated_is_truth_row_count(self, tmp_path, capsys):
         make_dataset(tmp_path, capsys, "ds1", 1)
         truth = make_dataset(tmp_path, capsys, "ds2", 2) / "truth.csv"
@@ -394,6 +403,28 @@ class TestSweep:
         for accs in by_strategy.values():
             assert len(accs) == 5
             assert max(accs) - min(accs) < 0.02
+
+    @pytest.mark.parametrize("flags, given", [
+        ([], {}),
+        (["--lambda", "2", "--tolerance", "0.01", "--max-iters", "7"],
+         {"lam": 2.0, "tolerance": 0.01, "max_iters": 7}),
+    ], ids=["defaults", "given"])
+    def test_settings_not_given_are_the_model_defaults(self, tmp_path, capsys, monkeypatch,
+                                                       flags, given):
+        d = make_dataset(tmp_path, capsys, "ds1", 6)
+        seen = []
+
+        def record(matrix, hp):
+            seen.append(hp)
+            return aggregate(matrix, hp)
+
+        aggregate = cli.aggregate_multiclass
+        monkeypatch.setattr(cli, "aggregate_multiclass", record)
+        code, _, _ = run(capsys, "sweep", "--labels", str(d / "labels.csv"),
+                         "--truth", str(d / "truth.csv"), "--grid", "5", *flags)
+        assert code == 0
+        assert seen == [crowdbwa.BwaHyperParams(a_v=5.0, epsilon_strategy=strategy, **given)
+                        for strategy in ("original", "adjusted")]
 
     def test_header_only_truth_fails_before_any_method(self, tmp_path, capsys, monkeypatch):
         d = make_dataset(tmp_path, capsys, "ds1", 6)

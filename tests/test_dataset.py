@@ -1,5 +1,7 @@
 """Ingestion, validation and views of the sparse label store."""
 
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -476,6 +478,40 @@ class TestSavePredictions:
         assert read_predictions(tmp_path / "p.csv", matrix) == {0: 1, 1: 0, 2: 1}
 
 
+class TestSaveRejectsUnreadableNames:
+    """Each writer refuses a name that the reader would not read back as
+    written, and names it in the error."""
+
+    def refused(self, tmp_path, kind, name):
+        fields = {"item id": "q1", "worker id": "w1", "label": "yes", kind: name}
+        matrix = LabelMatrix.from_triples([("q0", "w0", "no"), tuple(fields.values())])
+        writes = [lambda path: save_labels(matrix, path)]
+        if kind != "worker id":  # only the label file holds worker ids
+            writes += [lambda path: save_truth((np.array([0, 1]), np.array([0, 1])), matrix, path),
+                       lambda path: save_predictions(np.array([0, 1]), matrix, path)]
+        for write_to in writes:
+            with pytest.raises(ValidationError, match=re.escape(f"{kind} {name!r}")):
+                write_to(tmp_path / "out.csv")
+
+    def test_empty(self, tmp_path):
+        self.refused(tmp_path, "item id", "")
+        self.refused(tmp_path, "label", "")
+
+    def test_comma(self, tmp_path):
+        self.refused(tmp_path, "item id", "a,b")
+        self.refused(tmp_path, "worker id", "w,2")
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=code_points)
+    def test_line_break(self, tmp_path, brk):
+        self.refused(tmp_path, "item id", f"a{brk}b")
+        self.refused(tmp_path, "label", f"ja{brk}")
+
+    @pytest.mark.parametrize("name", [" q", "q ", "\tq", "q\u3000", "\xa0q"], ids=code_points)
+    def test_edge_whitespace(self, tmp_path, name):
+        for kind in ("item id", "worker id", "label"):
+            self.refused(tmp_path, kind, name)
+
+
 class TestFromTriples:
     def test_explicit_universe_keeps_unlabelled_entries(self):
         m = LabelMatrix.from_triples(
@@ -598,4 +634,26 @@ class TestBinaryView:
         m = LabelMatrix.from_triples(
             [("q0", "w0", "1"), ("q0", "w1", "0"), ("q1", "w0", "1")], num_classes=2
         )
-        assert binary_view(m, 1).positives_per_item.tolist() == [1, 1]
+        view = binary_view(m, 1)
+        assert view.focal_items.tolist() == [0, 1]
+        assert view.focal_workers.tolist() == [0, 0]
+        assert np.bincount(view.focal_items, minlength=m.num_items).tolist() == [1, 1]
+
+    def test_masks_mark_the_entries_their_index_reads(self):
+        m = generate(SynthSpec(num_items=200, num_workers=30, num_classes=4, redundancy=3,
+                               seed=4))[0]
+        for k in range(4):
+            view = binary_view(m, k)
+            positives = vote_counts(m)[:, k]
+            # items with a label other than k, then items with k
+            assert np.array_equal(view.residual_used, np.concatenate(
+                (m.labels_per_item > positives, positives > 0)))
+            assert set(np.flatnonzero(view.worker_has_focal)) == set(view.focal_workers)
+
+    def test_frozen_and_read_only(self):
+        view = binary_view(LabelMatrix.from_triples([("q0", "w0", "1")]), 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.focal_class = 0
+        for arr in (view.focal_items, view.focal_workers, view.worker_has_focal,
+                    view.residual_index, view.residual_used):
+            assert not arr.flags.writeable

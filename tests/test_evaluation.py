@@ -1,13 +1,13 @@
 """Accuracy scoring, signed-rank comparison and report assembly."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from crowdbwa.evaluation import (
-    EvalReport,
     accuracy,
     build_report,
     wilcoxon_one_sided,
@@ -177,7 +177,7 @@ class TestBuildReport:
             ("bwa", "d2", np.array([0, 0, 0, 1]), truth, 1.5),
         ]
         report = build_report(runs)
-        assert EvalReport.from_json(report.to_json()) == report
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_mean_accuracy(self):
         truth = toy_truth()
