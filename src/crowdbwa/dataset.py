@@ -590,9 +590,10 @@ def _check_names(names: Sequence[str], kind: str) -> None:
     reader would not read back as written: one that is empty, holds a
     comma or a line break, or starts or ends with whitespace."""
     names = tuple(names)
-    text = ",".join(names)  # one C-level scan per separator covers every name
+    text = ",".join(names)  # one C-level scan per character covers every name
     if (text.count(",") < len(names) and not any(map(text.__contains__, _BREAKS))
-            and "" not in names and tuple(map(str.strip, names)) == names):
+            and "" not in names and (not any(map(text.__contains__, _SPACES))
+                                     or tuple(map(str.strip, names)) == names)):
         return
     bad = [name for name in names if not name or name != name.strip()
            or any(map(name.__contains__, "," + _BREAKS))]
