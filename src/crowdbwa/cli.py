@@ -228,10 +228,12 @@ def cmd_bench(args) -> int:
     baseline = next((t for t, m, _ in methods if m == "mv"), None)
     if baseline is None:
         raise ValidationError("bench requires mv among the methods (it is the baseline)")
-    tokens = [token for token, _, _ in methods]
-    repeated = [token for n, token in enumerate(tokens) if token in tokens[:n]]
-    if repeated:
-        raise ValidationError(f"method {repeated[0]!r} is given twice")
+    named = {}  # each (method, hyper-parameters) pair to run, and its first token
+    for token, method, hp in methods:
+        if (method, hp) in named:
+            raise ValidationError(
+                f"methods {named[method, hp]!r} and {token!r} name the same run")
+        named[method, hp] = token
 
     datasets = []
     for entry in sorted(root.iterdir()):

@@ -351,6 +351,9 @@ def _first(mask: np.ndarray) -> int:
 
 def _first_repeat(keys: np.ndarray) -> int:
     """Index of the first entry equal to an earlier one, or the length if none."""
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():  # no repeat: nothing to locate
+        return keys.size
     repeated = np.ones(keys.size, dtype=bool)
     repeated[_first_appearance(keys)[1]] = False
     return _first(repeated)

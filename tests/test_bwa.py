@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from crowdbwa import bwa
 from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
     EPSILON_FLOOR,
@@ -20,6 +21,7 @@ from crowdbwa.bwa import (
     _FSUM_MAX_SIZE,
     _exact_sums,
     _exact_total,
+    _grid,
     adjust_error_rate,
     aggregate_multiclass,
     derive_bv,
@@ -351,6 +353,75 @@ class TestMStep:
         assert m_step(state, view, hp).z[1] == 0.25
 
 
+def _two_sum_m_step_z(state, view, hp):
+    """The m-step's z with the denominator and the numerator each summed
+    by its own ``_exact_sums`` call, on its own grid."""
+    m = view.matrix
+    size = m.max_labels_per_item
+    den = _exact_sums(state.eqv, m.labels_per_worker > 0, m.workers, m.items,
+                      m.num_items, size)
+    num = _exact_sums(state.eqv, view.worker_has_focal, view.focal_workers, view.focal_items,
+                      m.num_items, size)
+    return np.clip((hp.lam * state.mu + num) / (hp.lam + den), 0.0, 1.0)
+
+
+class TestMStepSharedGroupedSum:
+    """The m-step takes the numerator from the denominator's grouped sum
+    when both are summed on one grid, and sums it apart otherwise."""
+
+    @staticmethod
+    def m_step_sums(monkeypatch, state, view, hp):
+        """``m_step``'s z, and how many ``_exact_sums`` calls it made."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _exact_sums(*args)
+
+        monkeypatch.setattr(bwa, "_exact_sums", counted)
+        z = m_step(state, view, hp).z
+        return z, len(calls)
+
+    def test_top_worker_never_gives_the_focal_label(self, monkeypatch):
+        # the expert labels every item 0 with weight 2**62 and the others
+        # weigh at most 1/3, so the focal labels' own grid is 2**64 times finer
+        rows = [(f"q{i}", "expert", "0") for i in range(6)]
+        rows += [(f"q{i}", f"w{j}", str((i + j) % 2)) for i in range(6) for j in range(3)]
+        m = matrix_from(rows, num_classes=2)
+        view = binary_view(m, 1)
+        hp = fixed_hp(15.0, 3.0)
+        state = init_state(view, hp)
+        state.eqv = np.array([2.0**62, 1 / 3, 0.1, 2 / 7])
+        size = m.max_labels_per_item
+        assert _grid(state.eqv, view.worker_has_focal, size) < _grid(
+            state.eqv, m.labels_per_worker > 0, size)
+        z, calls = self.m_step_sums(monkeypatch, state, view, hp)
+        assert calls == 1  # the numerator's own sum
+        assert z.tobytes() == _two_sum_m_step_z(state, view, hp).tobytes()
+        # on the denominator's grid the focal sums lose bits
+        coarse = _exact_sums(state.eqv, m.labels_per_worker > 0, view.focal_workers,
+                             view.focal_items, m.num_items, size)
+        own = _exact_sums(state.eqv, view.worker_has_focal, view.focal_workers,
+                          view.focal_items, m.num_items, size)
+        assert coarse.tobytes() != own.tobytes()
+
+    @pytest.mark.parametrize("focal", [0, 1, 2])
+    def test_shared_grid(self, monkeypatch, focal):
+        m = generate(SynthSpec(num_items=300, num_workers=20, num_classes=3, redundancy=5,
+                               seed=41, accuracy_range=(0.4, 0.9)))[0]
+        view = binary_view(m, focal)
+        hp = resolve(PROFILES["av15-adjusted"], m)
+        state = init_state(view, hp)
+        size = m.max_labels_per_item
+        for _ in range(3):
+            assert _grid(state.eqv, view.worker_has_focal, size) == _grid(
+                state.eqv, m.labels_per_worker > 0, size)
+            z, calls = self.m_step_sums(monkeypatch, state, view, hp)
+            assert calls == 0
+            assert z.tobytes() == _two_sum_m_step_z(state, view, hp).tobytes()
+            state = e_step(m_step(state, view, hp), view, hp)
+
+
 class TestNegLogLikelihood:
     def test_zero_at_prior_mean_without_workers(self):
         view = binary_view(empty_matrix(num_items=1), 1)
@@ -494,6 +565,38 @@ class TestExactSums:
             sums = _exact_sums(table, view.residual_used, view.residual_index,
                                m.workers, m.num_workers, size)
             assert sums.tobytes() == expected.tobytes()
+
+
+class TestGrid:
+    """The grid taken from max|x| over the used entries is the one a
+    masked ``max(where=...)`` gives."""
+
+    @staticmethod
+    def where_grid(table, used, size):
+        top = math.frexp(float(np.abs(table).max(where=used, initial=0.0)))[1]
+        return max(top + size.bit_length() - 52, -1074)
+
+    @pytest.mark.parametrize("odd", [np.nan, np.inf, -np.inf, -0.0, 0.0, -5.0, 1e300,
+                                     np.nextafter(0.0, 1.0)])
+    @pytest.mark.parametrize("at_used", [True, False])
+    def test_special_values(self, odd, at_used):
+        table = np.array([0.25, -0.75, odd, 3.0e-7, -0.0])
+        used = np.array([True, True, at_used, False, True])
+        for size in (0, 1, 5, 1000):
+            assert _grid(table, used, size) == self.where_grid(table, used, size)
+
+    def test_no_used_entry(self):
+        for table in (np.empty(0), np.array([np.nan, -np.inf, 2.0, -0.0])):
+            unused = np.zeros(table.size, dtype=bool)
+            assert _grid(table, unused, 3) == self.where_grid(table, unused, 3)
+            assert _grid(table, unused, 3) == 2 - 52
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            table = rng.normal(size=50) * 10.0 ** rng.integers(-320, 300, size=50)
+            used = rng.random(50) < 0.5
+            assert _grid(table, used, 7) == self.where_grid(table, used, 7)
 
 
 class TestExactTotal:

@@ -338,6 +338,22 @@ class TestBench:
         assert "'mv'" in err
         assert "ds1 / " not in err  # no method ran
 
+    @pytest.mark.parametrize("methods, first, second", [
+        ("mv,bwa,bwa:av15-adjusted", "bwa", "bwa:av15-adjusted"),
+        ("mv,bwa:av30-original,ds,bwa:av30-original", "bwa:av30-original",
+         "bwa:av30-original"),
+    ])
+    def test_one_model_named_twice_fails_before_any_load(self, tmp_path, capsys, monkeypatch,
+                                                         methods, first, second):
+        make_dataset(tmp_path, capsys, "ds1", 5)
+        loads = []
+        monkeypatch.setattr(cli, "load_labels", lambda *a, **k: loads.append(a))
+        code, out, err = run(capsys, "bench", "--data", str(tmp_path / "data"),
+                             "--methods", methods)
+        assert code == 1
+        assert out == "" and loads == []
+        assert f"{first!r} and {second!r}" in err
+
     def test_n_evaluated_is_truth_row_count(self, tmp_path, capsys):
         make_dataset(tmp_path, capsys, "ds1", 1)
         truth = make_dataset(tmp_path, capsys, "ds2", 2) / "truth.csv"
@@ -523,3 +539,34 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert err == f"error: {truth}: no truth rows after the header\n"
+
+
+class TestModuleEntryPoint:
+    """``python -m crowdbwa`` runs the command line from a source checkout."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(crowdbwa.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "crowdbwa", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_version(self):
+        proc = self.run_module("--version")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"crowdbwa {crowdbwa.__version__}\n"
+
+    def test_aggregate(self, tmp_path):
+        labels, out = tmp_path / "l.csv", tmp_path / "pred.csv"
+        labels.write_text(FIXTURE)
+        proc = self.run_module("aggregate", "--labels", str(labels), "--method", "mv",
+                               "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == "question,label\nq1,A\nq2,A\n"
+
+    def test_error_status(self, tmp_path):
+        proc = self.run_module("aggregate", "--labels", str(tmp_path / "missing.csv"),
+                               "--out", str(tmp_path / "pred.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")

@@ -16,6 +16,9 @@ from crowdbwa.dataset import (
     LabelMatrix,
     ParseError,
     ValidationError,
+    _first,
+    _first_appearance,
+    _first_repeat,
     binary_view,
     load_labels,
     load_predictions,
@@ -657,3 +660,36 @@ class TestBinaryView:
         for arr in (view.focal_items, view.focal_workers, view.worker_has_focal,
                     view.residual_index, view.residual_used):
             assert not arr.flags.writeable
+
+
+def locate_first_repeat(keys):
+    """The first repeat located by factorising every key, as the loader
+    did before it sorted first to learn whether any key repeats."""
+    repeated = np.ones(keys.size, dtype=bool)
+    repeated[_first_appearance(keys)[1]] = False
+    return _first(repeated)
+
+
+class TestFirstRepeat:
+    @pytest.mark.parametrize("keys, expected", [
+        ([], 0),
+        ([7], 1),
+        ([3, 1, 2, -1, 9], 5),
+        ([4, 4, 1, 2, 3], 1),
+        ([1, 2, 5, 3, 5, 6, 7], 4),
+        ([9, 8, 7, 6, 9], 4),
+        ([2, 1, 2, 1, 2, 1], 2),
+        ([0, 0, 0, 0], 1),
+    ], ids=["empty", "one-key", "no-repeat", "start", "middle", "end", "many", "all-equal"])
+    def test_same_index_as_locating_every_key(self, keys, expected):
+        keys = np.array(keys, dtype=np.int64)
+        assert _first_repeat(keys) == locate_first_repeat(keys) == expected
+
+    def test_random_keys(self):
+        rng = np.random.default_rng(15)
+        for size in (2, 10, 1000):
+            for high in (size // 2 + 1, size, 100 * size):
+                keys = rng.integers(-1, high, size=size)
+                assert _first_repeat(keys) == locate_first_repeat(keys)
+            distinct = rng.permutation(size)
+            assert _first_repeat(distinct) == size
