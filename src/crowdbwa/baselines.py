@@ -8,6 +8,7 @@ confusion cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .dataset import LabelMatrix, vote_counts
 class MajorityVoteResult:
     labels: np.ndarray        # per-item winning class (ties -> smallest index)
     is_unlabeled: np.ndarray  # items with no votes at all (reported as class 0)
+    is_tied: np.ndarray       # labelled items whose top vote count 2+ classes share
 
 
 @dataclass(frozen=True)
@@ -38,8 +40,8 @@ class DsParams:
             raise ValueError("max_iters must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not self.smoothing > 0:
-            raise ValueError("smoothing must be positive")
+        if not 0 < self.smoothing < math.inf:
+            raise ValueError("smoothing must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,16 @@ class DawidSkeneResult:
 def majority_vote(matrix: LabelMatrix) -> MajorityVoteResult:
     """Per item, the class with the most votes; ties go to the smallest index.
 
-    Items nobody labelled are flagged and reported as class 0.
+    Items nobody labelled are flagged and reported as class 0; labelled
+    items decided by a tie are flagged too.
     """
-    labels = np.argmax(vote_counts(matrix), axis=1).astype(np.int64)
-    return MajorityVoteResult(labels=labels, is_unlabeled=matrix.labels_per_item == 0)
+    counts = vote_counts(matrix)
+    labels = np.argmax(counts, axis=1)
+    top = np.take_along_axis(counts, labels[:, None], axis=1)
+    is_unlabeled = top[:, 0] == 0
+    is_tied = (np.count_nonzero(counts == top, axis=1) > 1) & ~is_unlabeled
+    return MajorityVoteResult(labels=labels.astype(np.int64), is_unlabeled=is_unlabeled,
+                              is_tied=is_tied)
 
 
 def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSkeneResult:

@@ -81,17 +81,17 @@ class BwaHyperParams:
                 f"epsilon_strategy must be one of {EPSILON_STRATEGIES}, "
                 f"got {self.epsilon_strategy!r}"
             )
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not self.a_v > 0:
-            raise ValueError("a_v must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
+        if not 0 < self.a_v < math.inf:
+            raise ValueError("a_v must be positive and finite")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.epsilon_strategy == "fixed":
-            if self.b_v is None or not self.b_v > 0:
-                raise ValueError("strategy 'fixed' requires a positive b_v")
+            if self.b_v is None or not 0 < self.b_v < math.inf:
+                raise ValueError("strategy 'fixed' requires a positive, finite b_v")
         elif self.b_v is not None:
             raise ValueError(
                 "b_v is derived from the data unless epsilon_strategy='fixed'"

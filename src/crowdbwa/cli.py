@@ -155,6 +155,10 @@ def cmd_aggregate(args) -> int:
         unlabeled = int(result.is_unlabeled.sum())
         if unlabeled:
             print(f"warning: {unlabeled} items had no labels", file=sys.stderr)
+        tied = int(result.is_tied.sum())
+        if tied:
+            print(f"warning: {tied} items had tied top votes and went to the "
+                  "smallest class index", file=sys.stderr)
     elif args.method == "ds":
         started = time.perf_counter()
         result = dawid_skene(matrix, DsParams())
@@ -287,15 +291,13 @@ def cmd_sweep(args) -> int:
         raise ValidationError("empty a_v grid")
 
     settings = _given(args, "lam", "tolerance", "max_iters")
-    records = []
-    for a_v in grid:
-        for strategy in ("original", "adjusted"):
-            hp = BwaHyperParams(a_v=a_v, epsilon_strategy=strategy, **settings)
-            result = aggregate_multiclass(matrix, hp)
-            records.append((a_v, strategy, accuracy(result.hard_labels, truth)))
-
+    # every setting is checked before the first run
+    runs = [BwaHyperParams(a_v=a_v, epsilon_strategy=strategy, **settings)
+            for a_v in grid for strategy in ("original", "adjusted")]
     lines = ["a_v,strategy,accuracy"]
-    lines += [f"{a_v:g},{strategy},{acc!r}" for a_v, strategy, acc in records]
+    for hp in runs:
+        acc = accuracy(aggregate_multiclass(matrix, hp).hard_labels, truth)
+        lines.append(f"{hp.a_v:g},{hp.epsilon_strategy},{acc!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -13,6 +13,7 @@ sample size permits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -121,23 +122,32 @@ def wilcoxon_one_sided(diffs) -> WilcoxonResult:
     Tests whether the method is better: small ``w_minus`` gives small p.
     Raises if every difference is zero (nothing to rank).
     """
-    from scipy import stats  # deferred: importing it costs most of the CLI's start-up
-
     d = np.asarray(diffs, dtype=np.float64)
     nz = d[d != 0.0]
     if nz.size == 0:
         raise ValueError("all differences are zero; the test is undefined")
     n = int(nz.size)
-    ranks = stats.rankdata(np.abs(nz))
+    ranks = _average_ranks(np.abs(nz))
     w_minus = float(ranks[nz < 0].sum())
     w_plus = float(ranks[nz > 0].sum())
-    mean = n * (n + 1) / 4.0
-    sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
-    p_approx = float(stats.norm.cdf((w_minus - mean) / sd))
     p_exact = _exact_left_tail(ranks, w_minus) if n <= EXACT_P_MAX_N else None
-    return WilcoxonResult(
-        n_r=n, w_minus=w_minus, w_plus=w_plus, p_approx=p_approx, p_exact=p_exact
-    )
+    return WilcoxonResult(n_r=n, w_minus=w_minus, w_plus=w_plus,
+                          p_approx=_approx_left_tail(n, w_minus), p_exact=p_exact)
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share their average rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts  # 0-based rank of each distinct value's first copy
+    return (starts + (counts + 1) / 2.0)[inverse]
+
+
+def _approx_left_tail(n: int, w_observed: float) -> float:
+    """P(W- <= observed) under the normal approximation, no continuity correction."""
+    mean = n * (n + 1) / 4.0
+    sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
+    z = (w_observed - mean) / sd
+    return 0.5 * math.erfc(-z * math.sqrt(0.5))  # the standard normal CDF at z
 
 
 def _exact_left_tail(ranks: np.ndarray, w_observed: float) -> float:

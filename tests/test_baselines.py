@@ -5,6 +5,8 @@ re-implementation of the same smoothed EM updates, and against the
 earlier row-major vectorisation it replaced.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ class TestMajorityVote:
         result = majority_vote(m)
         assert result.labels.tolist() == [1, 0]
         assert result.is_unlabeled.tolist() == [False, True]
+
+    def test_ties_flagged_apart_from_unlabelled_items(self):
+        rows = [("q0", "w0", "0"), ("q0", "w1", "1"),                    # 1-1 tie
+                ("q1", "w0", "1"), ("q1", "w1", "1"), ("q1", "w2", "0"),  # majority
+                ("q2", "w0", "0"), ("q2", "w1", "1"), ("q2", "w2", "2"),  # 3-way tie
+                ("q3", "w0", "2"), ("q3", "w1", "2"), ("q3", "w2", "1"),
+                ("q3", "w3", "1"), ("q3", "w4", "0")]                     # 2-2-1 tie
+        m = matrix_from(rows, item_ids=["q0", "q1", "q2", "q3", "q4"], num_classes=3)
+        result = majority_vote(m)
+        assert result.labels.tolist() == [0, 1, 0, 1, 0]
+        assert result.is_tied.tolist() == [True, False, True, True, False]
+        assert result.is_unlabeled.tolist() == [False, False, False, False, True]
 
     def test_worker_identity_irrelevant(self):
         rows = [("q0", "w0", "0"), ("q0", "w1", "1"), ("q1", "w1", "1"), ("q1", "w2", "1")]
@@ -233,7 +247,8 @@ class TestDawidSkene:
         assert np.array_equal(a.hard_labels, b.hard_labels)
 
     def test_param_validation(self):
-        for kwargs in ({"max_iters": 0}, {"tolerance": 0.0}, {"smoothing": 0.0}):
+        for kwargs in ({"max_iters": 0}, {"tolerance": 0.0}, {"smoothing": 0.0},
+                       {"smoothing": math.inf}):
             with pytest.raises(ValueError):
                 DsParams(**kwargs)
 

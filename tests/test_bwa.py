@@ -251,11 +251,23 @@ class TestHyperParams:
             {"epsilon_strategy": "fixed"},          # b_v missing
             {"b_v": 1.0},                           # b_v without fixed strategy
             {"epsilon_strategy": "fixed", "b_v": 0.0},
+            {"lam": math.inf},
+            {"a_v": math.inf},
+            {"epsilon_strategy": "fixed", "b_v": math.inf},
         ],
     )
     def test_invalid_params(self, kwargs):
         with pytest.raises(ValueError):
             BwaHyperParams(**kwargs)
+
+    def test_infinite_tolerance_stops_after_one_iteration(self):
+        m, _ = generate(SynthSpec(num_items=40, num_workers=6, num_classes=3,
+                                  redundancy=3, seed=1))
+        result = aggregate_multiclass(m, BwaHyperParams(tolerance=math.inf))
+        assert [r.iterations for r in result.per_class] == [1, 1, 1]
+        assert all(r.converged for r in result.per_class)
+        assert np.isfinite(result.score_matrix).all()
+        assert np.isfinite(result.worker_weights).all()
 
     def test_resolve_strategies(self):
         m = matrix_from(

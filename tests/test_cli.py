@@ -255,6 +255,67 @@ class TestAggregate:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_every_command_runs_without_scipy(self, tmp_path, capsys):
+        # every command runs where importing scipy fails
+        for name, seed in (("ds1", 1), ("ds2", 2), ("ds3", 3)):
+            make_dataset(tmp_path, capsys, name, seed)
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from crowdbwa.cli import main\n"
+            "data, out = sys.argv[1], sys.argv[2]\n"
+            "labels, truth = data + '/ds1/labels.csv', data + '/ds1/truth.csv'\n"
+            "runs = [['aggregate', '--labels', labels, '--method', method, '--out', out + method]\n"
+            "        for method in ('mv', 'ds', 'bwa')]\n"
+            "runs += [['eval', '--labels', labels, '--predictions', out + 'bwa', '--truth', truth],\n"
+            "         ['sweep', '--labels', labels, '--truth', truth, '--grid', '1,15'],\n"
+            "         ['synth', '--items', '20', '--workers', '5', '--redundancy', '3',\n"
+            "          '--out-labels', out + 's.csv', '--out-truth', out + 't.csv'],\n"
+            "         ['bench', '--data', data, '--methods', 'mv,ds,bwa', '--out', out + 'r.json']]\n"
+            "for argv in runs:\n"
+            "    assert main(argv) == 0, argv\n"
+            "report = json.load(open(out + 'r.json'))\n"
+            "assert any(s['wilcoxon'] for s in report['summaries']), 'no signed-rank test ran'\n"
+        )
+        src = str(Path(crowdbwa.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "data"), str(tmp_path / "out-")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("rows, err", [
+        ("q1,w1,A\nq1,w2,B\n"           # tie
+         "q2,w1,A\nq2,w2,B\nq2,w3,B\n"  # majority
+         "q3,w1,C\nq3,w2,B\nq3,w3,A\n"  # 3-way tie
+         "q4,w1,C\n",                   # one vote
+         "warning: 2 items had tied top votes and went to the smallest class index\n"),
+        ("q1,w1,A\nq1,w2,A\nq2,w1,B\n", ""),
+    ], ids=["ties", "no-ties"])
+    def test_mv_reports_tied_items(self, tmp_path, capsys, rows, err):
+        labels = tmp_path / "l.csv"
+        labels.write_text("question,worker,answer\n" + rows)
+        code, _, got = run(capsys, "aggregate", "--labels", str(labels), "--method", "mv",
+                           "--out", str(tmp_path / "pred.csv"))
+        assert code == 0
+        assert got == err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--a-v", "inf"], "a_v"),
+        (["--lambda", "inf"], "lam"),
+    ])
+    def test_infinite_hyper_parameter_fails(self, tmp_path, capsys, flags, name):
+        labels = tmp_path / "l.csv"
+        labels.write_text(FIXTURE)
+        out = tmp_path / "pred.csv"
+        code, _, err = run(capsys, "aggregate", "--labels", str(labels), "--method", "bwa",
+                           "--out", str(out), *flags)
+        assert code == 1
+        assert err == f"error: {name} must be positive and finite\n"
+        assert not out.exists()
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         labels = tmp_path / "l.csv"
         labels.write_text(FIXTURE)
@@ -400,6 +461,24 @@ class TestSweep:
                            "--truth", str(d / "truth.csv"), "--grid", "0,15")
         assert code == 1
         assert "a_v" in err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--grid", "1,inf"], "a_v"),
+        (["--grid", "1", "--lambda", "inf"], "lam"),
+    ])
+    def test_infinite_hyper_parameter_fails_before_any_run(self, tmp_path, capsys,
+                                                           monkeypatch, flags, name):
+        d = make_dataset(tmp_path, capsys, "ds1", 7)
+
+        def never(*args):
+            raise AssertionError("a method ran")
+
+        monkeypatch.setattr(cli, "aggregate_multiclass", never)
+        code, out, err = run(capsys, "sweep", "--labels", str(d / "labels.csv"),
+                             "--truth", str(d / "truth.csv"), *flags)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {name} must be positive and finite\n"
 
     def test_flat_region_on_high_quality_crowd(self, tmp_path, capsys):
         d = tmp_path / "hq"

@@ -8,6 +8,8 @@ import pytest
 from scipy import stats
 
 from crowdbwa.evaluation import (
+    _approx_left_tail,
+    _average_ranks,
     accuracy,
     build_report,
     wilcoxon_one_sided,
@@ -123,6 +125,39 @@ class TestWilcoxon:
         result = wilcoxon_one_sided(rng.normal(size=30))
         assert result.p_exact is None
         assert 0 < result.p_approx <= 1
+
+
+class TestWithoutScipyOracles:
+    """The package's own rank and normal-tail helpers against scipy's."""
+
+    def test_average_ranks_equal_rankdata_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        patterns = [np.full(12, 0.25), np.array([0.5])]  # all tied; a single value
+        for _ in range(1000):
+            n = int(rng.integers(1, 60))
+            patterns.append(rng.integers(0, int(rng.integers(1, 20)), size=n) / 7.0)
+        for values in patterns:
+            ours, theirs = _average_ranks(values), stats.rankdata(values)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes(), values
+
+    def test_approx_tail_near_norm_cdf_for_every_half_integer_w_minus(self):
+        worst = 0.0
+        for n in range(1, 61):
+            w = np.arange(n * (n + 1) + 1) / 2.0
+            mean = n * (n + 1) / 4.0
+            sd = np.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
+            expected = stats.norm.cdf((w - mean) / sd)
+            ours = np.array([_approx_left_tail(n, x) for x in w])
+            worst = max(worst, float(np.max(np.abs(ours - expected) / expected)))
+        assert worst <= 2e-14
+
+    def test_p_approx_is_the_approx_tail(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            d = rng.choice([-1, 1], size=40) * rng.integers(1, 8, size=40) * 0.01
+            result = wilcoxon_one_sided(d)
+            assert result.p_approx == _approx_left_tail(result.n_r, result.w_minus)
 
 
 def toy_truth(n=4):
