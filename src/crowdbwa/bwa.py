@@ -348,7 +348,7 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     _check_resolved(hp)
     m = view.matrix
     totals = m.labels_per_item
-    positives = np.bincount(view.focal_items, minlength=m.num_items)
+    positives = np.bincount(view.residual_index, minlength=2 * m.num_items)[m.num_items:]
     z = np.where(totals > 0, positives / np.maximum(totals, 1), 0.5)
     mu = _exact_total(z) / m.num_items
     sse, eqv = _expectation(z, view, hp)
@@ -384,12 +384,14 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
             for fold in _folds(eqv, exp, size))
     den = (f[:n] + f[n:]) + (r[:n] + r[n:])
     # only labels y = 1 add to the numerator, summed on their own grid,
-    # which is the denominator's unless no focal worker is in its top binade
+    # which is the denominator's unless no focal worker is in its top binade;
+    # on that finer grid the y = 0 half, whose summands may lie beyond the
+    # grid's range, is summed too and dropped
     if _grid(eqv, view.worker_has_focal, size) == exp:
         num = f[n:] + r[n:]
     else:
-        num = _exact_sums(eqv, view.worker_has_focal, view.focal_workers, view.focal_items,
-                          n, size)
+        num = _exact_sums(eqv, view.worker_has_focal, m.workers, view.residual_index,
+                          2 * n, size)[n:]
     z = (hp.lam * state.mu + num) / (hp.lam + den)
     # z is a convex combination of mu and {0,1} labels; clip the odd
     # one-ulp division overshoot so the [0,1] range invariant is exact.

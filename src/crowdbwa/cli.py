@@ -13,6 +13,7 @@ Data goes to files or stdout; diagnostics go to stderr. Exit status is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -41,15 +42,18 @@ DEFAULT_PROFILE = "av15-adjusted"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so a command swapped in the module namespace runs
+    handler = {"aggregate": cmd_aggregate, "bench": cmd_bench, "sweep": cmd_sweep,
+               "synth": cmd_synth, "eval": cmd_eval}[args.command]
     try:
-        return args.handler(args)
+        return handler(args)
     except (ValueError, OSError) as exc:  # ParseError and ValidationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crowdbwa",
@@ -64,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--out", required=True, help="prediction file to write (question,label)")
     agg.add_argument("--k", type=int, default=None, help="override the class count")
     _add_bwa_flags(agg)
-    agg.set_defaults(handler=cmd_aggregate)
 
     bench = sub.add_parser("bench", help="benchmark methods over a directory of datasets")
     bench.add_argument(
@@ -79,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated list drawn from mv, ds, bwa[:profile]",
     )
     bench.add_argument("--out", default=None, help="write the JSON report here")
-    bench.set_defaults(handler=cmd_bench)
 
     sweep = sub.add_parser("sweep", help="accuracy over a grid of prior strengths")
     sweep.add_argument("--labels", required=True)
@@ -94,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tolerance", type=float, default=None)
     sweep.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     sweep.add_argument("--out", default=None, help="CSV output (a_v,strategy,accuracy)")
-    sweep.set_defaults(handler=cmd_sweep)
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
     synth.add_argument("--items", type=int, required=True)
@@ -109,14 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument("--out-labels", required=True)
     synth.add_argument("--out-truth", required=True)
-    synth.set_defaults(handler=cmd_synth)
 
     ev = sub.add_parser("eval", help="score a prediction file against ground truth")
     ev.add_argument("--labels", required=True, help="label file defining the id maps")
     ev.add_argument("--predictions", required=True, help="prediction file (question,label)")
     ev.add_argument("--truth", required=True)
     ev.add_argument("--k", type=int, default=None)
-    ev.set_defaults(handler=cmd_eval)
 
     return parser
 
@@ -147,11 +146,26 @@ def _hyper_params(args) -> BwaHyperParams:
     return replace(PROFILES[args.profile], **overrides)
 
 
+def _run(method: str, matrix, hp):
+    """Run ``method`` on ``matrix`` (``hp`` is read by bwa alone): its
+    hard labels, its full result and the seconds it took."""
+    started = time.perf_counter()
+    if method == "mv":
+        result = majority_vote(matrix)
+    elif method == "ds":
+        result = dawid_skene(matrix, DsParams())
+    else:
+        result = aggregate_multiclass(matrix, hp)
+    elapsed = time.perf_counter() - started
+    return result.labels if method == "mv" else result.hard_labels, result, elapsed
+
+
 def cmd_aggregate(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
+    hp = _hyper_params(args) if args.method == "bwa" else None
+    labels, result, elapsed = _run(args.method, matrix, hp)
+    save_predictions(labels, matrix, args.out)
     if args.method == "mv":
-        result = majority_vote(matrix)
-        save_predictions(result.labels, matrix, args.out)
         unlabeled = int(result.is_unlabeled.sum())
         if unlabeled:
             print(f"warning: {unlabeled} items had no labels", file=sys.stderr)
@@ -160,21 +174,12 @@ def cmd_aggregate(args) -> int:
             print(f"warning: {tied} items had tied top votes and went to the "
                   "smallest class index", file=sys.stderr)
     elif args.method == "ds":
-        started = time.perf_counter()
-        result = dawid_skene(matrix, DsParams())
-        elapsed = time.perf_counter() - started
-        save_predictions(result.hard_labels, matrix, args.out)
         print(
             f"ds: {result.iterations} iterations, converged={result.converged} "
             f"runtime={elapsed:.3f}s",
             file=sys.stderr,
         )
     else:
-        hp = _hyper_params(args)
-        started = time.perf_counter()
-        result = aggregate_multiclass(matrix, hp)
-        elapsed = time.perf_counter() - started
-        save_predictions(result.hard_labels, matrix, args.out)
         _write_worker_diagnostics(f"{args.out}.workers.csv", matrix, result.worker_weights)
         summary = {
             "method": "bwa",
@@ -265,14 +270,7 @@ def cmd_bench(args) -> int:
     runs = []
     for name, matrix, truth in loaded:
         for token, method, hp in methods:
-            started = time.perf_counter()
-            if method == "mv":
-                predictions = majority_vote(matrix).labels
-            elif method == "ds":
-                predictions = dawid_skene(matrix).hard_labels
-            else:
-                predictions = aggregate_multiclass(matrix, hp).hard_labels
-            elapsed = time.perf_counter() - started
+            predictions, _, elapsed = _run(method, matrix, hp)
             runs.append((token, name, predictions, truth, elapsed))
             print(f"{name} / {token}: {elapsed:.3f}s", file=sys.stderr)
 

@@ -226,9 +226,7 @@ class BinaryView:
 
     matrix: LabelMatrix
     focal_class: int
-    focal_items: np.ndarray       # items of the triples labelled with the focal class
-    focal_workers: np.ndarray     # and their workers
-    worker_has_focal: np.ndarray  # per worker, whether it is among ``focal_workers``
+    worker_has_focal: np.ndarray  # per worker, whether it gave the focal class
     # Per triple, ``item + num_items * y``: the place of its squared
     # residual in a per-item table laid out as ``[z**2, (z - 1)**2]``
     residual_index: np.ndarray
@@ -254,9 +252,8 @@ def binary_view(matrix: LabelMatrix, focal_class: int) -> BinaryView:
             f"focal class {focal_class} out of range [0, {matrix.num_classes})"
         )
     focal = matrix.labels == focal_class
-    focal_workers = matrix.workers[focal]
     residual_index = matrix.items + matrix.num_items * focal
-    arrays = (matrix.items[focal], focal_workers, _used(focal_workers, matrix.num_workers),
+    arrays = (_used(matrix.workers[focal], matrix.num_workers),
               residual_index, _used(residual_index, 2 * matrix.num_items))
     for arr in arrays:
         arr.setflags(write=False)

@@ -169,9 +169,8 @@ def generate(spec: SynthSpec) -> tuple[LabelMatrix, tuple[np.ndarray, np.ndarray
     latter as ``(items, labels)``: ``arange(num_items)`` and each item's
     true class, both int64.
 
-    Item i gets external id ``q{i}`` and worker j gets ``w{j}``; dense
-    indices coincide with the generation indices because the full id
-    universes are passed through. Fully reproducible from the seed.
+    Item i is ``q{i}`` at index i and worker j is ``w{j}`` at index j,
+    labels or not. Fully reproducible from the seed.
     """
     n, w, k, r = spec.num_items, spec.num_workers, spec.num_classes, spec.redundancy
     confusion = draw_worker_confusions(spec)

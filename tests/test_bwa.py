@@ -370,9 +370,10 @@ def _two_sum_m_step_z(state, view, hp):
     by its own ``_exact_sums`` call, on its own grid."""
     m = view.matrix
     size = m.max_labels_per_item
+    focal = m.labels == view.focal_class
     den = _exact_sums(state.eqv, m.labels_per_worker > 0, m.workers, m.items,
                       m.num_items, size)
-    num = _exact_sums(state.eqv, view.worker_has_focal, view.focal_workers, view.focal_items,
+    num = _exact_sums(state.eqv, view.worker_has_focal, m.workers[focal], m.items[focal],
                       m.num_items, size)
     return np.clip((hp.lam * state.mu + num) / (hp.lam + den), 0.0, 1.0)
 
@@ -411,11 +412,33 @@ class TestMStepSharedGroupedSum:
         assert calls == 1  # the numerator's own sum
         assert z.tobytes() == _two_sum_m_step_z(state, view, hp).tobytes()
         # on the denominator's grid the focal sums lose bits
-        coarse = _exact_sums(state.eqv, m.labels_per_worker > 0, view.focal_workers,
-                             view.focal_items, m.num_items, size)
-        own = _exact_sums(state.eqv, view.worker_has_focal, view.focal_workers,
-                          view.focal_items, m.num_items, size)
+        focal = m.labels == 1
+        coarse = _exact_sums(state.eqv, m.labels_per_worker > 0, m.workers[focal],
+                             m.items[focal], m.num_items, size)
+        own = _exact_sums(state.eqv, view.worker_has_focal, m.workers[focal],
+                          m.items[focal], m.num_items, size)
         assert coarse.tobytes() != own.tobytes()
+
+    def test_own_grid_numerator_is_order_free(self, monkeypatch):
+        # the same expert crowd with its rows shuffled and its items relabelled
+        rows = [(f"q{i}", "expert", "0") for i in range(6)]
+        rows += [(f"q{i}", f"w{j}", str((i + j) % 2)) for i in range(6) for j in range(3)]
+        workers = ["expert", "w0", "w1", "w2"]
+        eqv = np.array([2.0**62, 1 / 3, 0.1, 2 / 7])
+        rng = np.random.default_rng(5)
+        shuffled = [rows[r] for r in rng.permutation(len(rows))]
+        renamed = [f"q{i}" for i in rng.permutation(6)]
+        hp = fixed_hp(15.0, 3.0)
+        zs = []
+        for m in (matrix_from(rows, worker_ids=workers, num_classes=2),
+                  matrix_from(shuffled, item_ids=renamed, worker_ids=workers, num_classes=2)):
+            view = binary_view(m, 1)
+            state = init_state(view, hp)
+            state.eqv = eqv
+            z, calls = self.m_step_sums(monkeypatch, state, view, hp)
+            assert calls == 1  # the numerator's own sum
+            zs.append(z[[m.item_index[f"q{i}"] for i in range(6)]])
+        assert zs[0].tobytes() == zs[1].tobytes()
 
     @pytest.mark.parametrize("focal", [0, 1, 2])
     def test_shared_grid(self, monkeypatch, focal):

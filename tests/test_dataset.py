@@ -638,9 +638,8 @@ class TestBinaryView:
             [("q0", "w0", "1"), ("q0", "w1", "0"), ("q1", "w0", "1")], num_classes=2
         )
         view = binary_view(m, 1)
-        assert view.focal_items.tolist() == [0, 1]
-        assert view.focal_workers.tolist() == [0, 0]
-        assert np.bincount(view.focal_items, minlength=m.num_items).tolist() == [1, 1]
+        positives = np.bincount(view.residual_index, minlength=2 * m.num_items)[m.num_items:]
+        assert positives.tolist() == [1, 1]
 
     def test_masks_mark_the_entries_their_index_reads(self):
         m = generate(SynthSpec(num_items=200, num_workers=30, num_classes=4, redundancy=3,
@@ -651,14 +650,13 @@ class TestBinaryView:
             # items with a label other than k, then items with k
             assert np.array_equal(view.residual_used, np.concatenate(
                 (m.labels_per_item > positives, positives > 0)))
-            assert set(np.flatnonzero(view.worker_has_focal)) == set(view.focal_workers)
+            assert set(np.flatnonzero(view.worker_has_focal)) == set(m.workers[m.labels == k])
 
     def test_frozen_and_read_only(self):
         view = binary_view(LabelMatrix.from_triples([("q0", "w0", "1")]), 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             view.focal_class = 0
-        for arr in (view.focal_items, view.focal_workers, view.worker_has_focal,
-                    view.residual_index, view.residual_used):
+        for arr in (view.worker_has_focal, view.residual_index, view.residual_used):
             assert not arr.flags.writeable
 
 
