@@ -46,7 +46,7 @@ print(f"{matrix.num_items} items, {matrix.num_workers} workers, "
 # ---------------------------------------------------------------------------
 
 mv = majority_vote(matrix)
-print("\nmajority vote: ", [matrix.label_names[k] for k in mv.labels])
+print("\nmajority vote: ", [matrix.label_names[k] for k in mv.hard_labels])
 
 # ---------------------------------------------------------------------------
 # The crowd's self-disagreement suggests how much to trust a worker a

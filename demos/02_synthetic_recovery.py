@@ -43,7 +43,7 @@ mv = majority_vote(matrix)
 ds = dawid_skene(matrix)
 bwa = aggregate_multiclass(matrix, PROFILES["av15-adjusted"])
 
-print(f"\naccuracy  mv:  {accuracy(mv.labels, truth):.4f}")
+print(f"\naccuracy  mv:  {accuracy(mv.hard_labels, truth):.4f}")
 print(f"accuracy  ds:  {accuracy(ds.hard_labels, truth):.4f}")
 print(f"accuracy  bwa: {accuracy(bwa.hard_labels, truth):.4f}")
 
@@ -75,5 +75,5 @@ margin = np.abs(counts[0::2] - counts[1::2])
 items, labels = truth
 close = margin[items] <= 1
 close_truth = items[close], labels[close]
-print(f"\non the {close.sum()} closest-vote items: mv {accuracy(mv.labels, close_truth):.4f}, "
+print(f"\non the {close.sum()} closest-vote items: mv {accuracy(mv.hard_labels, close_truth):.4f}, "
       f"bwa {accuracy(bwa.hard_labels, close_truth):.4f}")

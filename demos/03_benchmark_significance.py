@@ -49,7 +49,7 @@ for n in range(12):
 # ---------------------------------------------------------------------------
 
 methods = {
-    "mv": lambda m: majority_vote(m).labels,
+    "mv": lambda m: majority_vote(m).hard_labels,
     "ds": lambda m: dawid_skene(m).hard_labels,
     "bwa:av30-original": lambda m: aggregate_multiclass(m, PROFILES["av30-original"]).hard_labels,
     "bwa:av15-adjusted": lambda m: aggregate_multiclass(m, PROFILES["av15-adjusted"]).hard_labels,

@@ -9,7 +9,7 @@ confusion cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .dataset import LabelMatrix, vote_counts
 
 @dataclass(frozen=True)
 class MajorityVoteResult:
-    labels: np.ndarray        # per-item winning class (ties -> smallest index)
+    hard_labels: np.ndarray   # per-item winning class (ties -> smallest index)
     is_unlabeled: np.ndarray  # items with no votes at all (reported as class 0)
     is_tied: np.ndarray       # labelled items whose top vote count 2+ classes share
 
@@ -53,9 +53,9 @@ class DawidSkeneResult:
     objective_trace: np.ndarray  # smoothed log posterior per iteration
     converged: bool
     iterations: int
-    # max posterior change per iteration (empty if built by hand); the last
-    # entry is <= tolerance exactly when converged
-    delta_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # max posterior change per iteration; the last entry is <= tolerance
+    # exactly when converged
+    delta_trace: np.ndarray
 
 
 def majority_vote(matrix: LabelMatrix) -> MajorityVoteResult:
@@ -69,8 +69,8 @@ def majority_vote(matrix: LabelMatrix) -> MajorityVoteResult:
     top = np.take_along_axis(counts, labels[:, None], axis=1)
     is_unlabeled = top[:, 0] == 0
     is_tied = (np.count_nonzero(counts == top, axis=1) > 1) & ~is_unlabeled
-    return MajorityVoteResult(labels=labels.astype(np.int64), is_unlabeled=is_unlabeled,
-                              is_tied=is_tied)
+    return MajorityVoteResult(hard_labels=labels.astype(np.int64),
+                              is_unlabeled=is_unlabeled, is_tied=is_tied)
 
 
 def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSkeneResult:

@@ -383,15 +383,9 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     f, r = (np.bincount(view.residual_index, fold[m.workers], 2 * n)
             for fold in _folds(eqv, exp, size))
     den = (f[:n] + f[n:]) + (r[:n] + r[n:])
-    # only labels y = 1 add to the numerator, summed on their own grid,
-    # which is the denominator's unless no focal worker is in its top binade;
-    # on that finer grid the y = 0 half, whose summands may lie beyond the
-    # grid's range, is summed too and dropped
-    if _grid(eqv, view.worker_has_focal, size) == exp:
-        num = f[n:] + r[n:]
-    else:
-        num = _exact_sums(eqv, view.worker_has_focal, m.workers, view.residual_index,
-                          2 * n, size)[n:]
+    # only labels y = 1 add to the numerator: a subset of the denominator's
+    # summands on the same grid, so z carries that one grid's rounding
+    num = f[n:] + r[n:]
     z = (hp.lam * state.mu + num) / (hp.lam + den)
     # z is a convex combination of mu and {0,1} labels; clip the odd
     # one-ulp division overshoot so the [0,1] range invariant is exact.

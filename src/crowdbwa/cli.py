@@ -67,7 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--method", default="bwa", choices=METHODS)
     agg.add_argument("--out", required=True, help="prediction file to write (question,label)")
     agg.add_argument("--k", type=int, default=None, help="override the class count")
-    _add_bwa_flags(agg)
+    agg.add_argument(
+        "--profile",
+        default=DEFAULT_PROFILE,
+        choices=sorted(PROFILES),
+        help="named hyper-parameter profile (bwa only)",
+    )
+    agg.add_argument("--a-v", dest="a_v", type=float, default=None)
+    agg.add_argument("--epsilon-strategy", choices=("original", "adjusted"), default=None)
+    _add_em_flags(agg)
 
     bench = sub.add_parser("bench", help="benchmark methods over a directory of datasets")
     bench.add_argument(
@@ -92,9 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated a_v values; both error-rate strategies are run",
     )
     sweep.add_argument("--k", type=int, default=None)
-    sweep.add_argument("--lambda", dest="lam", type=float, default=None)
-    sweep.add_argument("--tolerance", type=float, default=None)
-    sweep.add_argument("--max-iters", dest="max_iters", type=int, default=None)
+    _add_em_flags(sweep)
     sweep.add_argument("--out", default=None, help="CSV output (a_v,strategy,accuracy)")
 
     synth = sub.add_parser("synth", help="generate a synthetic dataset")
@@ -120,17 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_bwa_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile",
-        default=DEFAULT_PROFILE,
-        choices=sorted(PROFILES),
-        help="named hyper-parameter profile (bwa only)",
-    )
-    parser.add_argument("--a-v", dest="a_v", type=float, default=None)
-    parser.add_argument(
-        "--epsilon-strategy", choices=("original", "adjusted"), default=None
-    )
+def _add_em_flags(parser: argparse.ArgumentParser) -> None:
+    """The BWA EM settings that ``aggregate`` and ``sweep`` both take."""
     parser.add_argument("--lambda", dest="lam", type=float, default=None)
     parser.add_argument("--tolerance", type=float, default=None)
     parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
@@ -148,7 +145,7 @@ def _hyper_params(args) -> BwaHyperParams:
 
 def _run(method: str, matrix, hp):
     """Run ``method`` on ``matrix`` (``hp`` is read by bwa alone): its
-    hard labels, its full result and the seconds it took."""
+    result and the seconds it took."""
     started = time.perf_counter()
     if method == "mv":
         result = majority_vote(matrix)
@@ -157,14 +154,14 @@ def _run(method: str, matrix, hp):
     else:
         result = aggregate_multiclass(matrix, hp)
     elapsed = time.perf_counter() - started
-    return result.labels if method == "mv" else result.hard_labels, result, elapsed
+    return result, elapsed
 
 
 def cmd_aggregate(args) -> int:
     matrix = load_labels(args.labels, num_classes=args.k)
     hp = _hyper_params(args) if args.method == "bwa" else None
-    labels, result, elapsed = _run(args.method, matrix, hp)
-    save_predictions(labels, matrix, args.out)
+    result, elapsed = _run(args.method, matrix, hp)
+    save_predictions(result.hard_labels, matrix, args.out)
     if args.method == "mv":
         unlabeled = int(result.is_unlabeled.sum())
         if unlabeled:
@@ -270,8 +267,8 @@ def cmd_bench(args) -> int:
     runs = []
     for name, matrix, truth in loaded:
         for token, method, hp in methods:
-            predictions, _, elapsed = _run(method, matrix, hp)
-            runs.append((token, name, predictions, truth, elapsed))
+            result, elapsed = _run(method, matrix, hp)
+            runs.append((token, name, result.hard_labels, truth, elapsed))
             print(f"{name} / {token}: {elapsed:.3f}s", file=sys.stderr)
 
     report = build_report(runs, baseline=baseline)

@@ -218,15 +218,12 @@ class BinaryView:
     """One-versus-rest view of a label matrix for a focal class.
 
     Holds, over exactly the observed (item, worker) pairs, the read-only
-    index arrays that every iteration of the binary model reads for the
-    focal class; everything else it reads from ``matrix``. Each mask
-    marks the table entries its index refers to, by one rule:
-    ``np.bincount(index, minlength=table_size) > 0``.
+    index and mask that every iteration of the binary model reads for
+    the focal class; everything else it reads from ``matrix``.
     """
 
     matrix: LabelMatrix
     focal_class: int
-    worker_has_focal: np.ndarray  # per worker, whether it gave the focal class
     # Per triple, ``item + num_items * y``: the place of its squared
     # residual in a per-item table laid out as ``[z**2, (z - 1)**2]``
     residual_index: np.ndarray
@@ -253,16 +250,10 @@ def binary_view(matrix: LabelMatrix, focal_class: int) -> BinaryView:
         )
     focal = matrix.labels == focal_class
     residual_index = matrix.items + matrix.num_items * focal
-    arrays = (_used(matrix.workers[focal], matrix.num_workers),
-              residual_index, _used(residual_index, 2 * matrix.num_items))
-    for arr in arrays:
+    residual_used = np.bincount(residual_index, minlength=2 * matrix.num_items) > 0
+    for arr in (residual_index, residual_used):
         arr.setflags(write=False)
-    return BinaryView(matrix, focal_class, *arrays)
-
-
-def _used(index: np.ndarray, size: int) -> np.ndarray:
-    """Which entries of a ``size``-entry table ``index`` refers to."""
-    return np.bincount(index, minlength=size) > 0
+    return BinaryView(matrix, focal_class, residual_index, residual_used)
 
 
 def load_labels(path, num_classes: int | None = None) -> LabelMatrix:

@@ -346,7 +346,7 @@ def test_criterion_5_synthetic_recovery():
         )[:, 0]
         result = aggregate_multiclass(matrix, PROFILES["av15-adjusted"])
         bwa_accs.append(accuracy(result.hard_labels, truth))
-        mv_accs.append(accuracy(majority_vote(matrix).labels, truth))
+        mv_accs.append(accuracy(majority_vote(matrix).hard_labels, truth))
         rho = stats.spearmanr(result.worker_weights, true_diagonals).statistic
         correlations.append(rho)
     elapsed = time.perf_counter() - started
@@ -466,7 +466,7 @@ def test_criterion_7_published_benchmark_reproduction():
     for _, label_file, truth_file in datasets:
         matrix = load_labels(label_file)
         truth = load_truth(truth_file, matrix)
-        accs["mv"].append(accuracy(majority_vote(matrix).labels, truth))
+        accs["mv"].append(accuracy(majority_vote(matrix).hard_labels, truth))
         accs["av30"].append(
             accuracy(aggregate_multiclass(matrix, PROFILES["av30-original"]).hard_labels, truth)
         )
@@ -507,4 +507,4 @@ def test_criterion_8_performance_at_scale():
     assert bwa_elapsed < 10.0
     assert mv_elapsed < 1.0
     # sanity: the run did real work
-    assert accuracy(bwa_result.hard_labels, truth) >= accuracy(mv_result.labels, truth)
+    assert accuracy(bwa_result.hard_labels, truth) >= accuracy(mv_result.hard_labels, truth)

@@ -22,23 +22,23 @@ def matrix_from(rows, **kwargs):
 class TestMajorityVote:
     def test_simple_majority(self):
         m = matrix_from([("q0", "w0", "0"), ("q0", "w1", "0"), ("q0", "w2", "1")])
-        assert majority_vote(m).labels.tolist() == [0]
+        assert majority_vote(m).hard_labels.tolist() == [0]
 
     def test_tie_goes_to_smallest_class(self):
         m = matrix_from(
             [("q0", "w0", "0"), ("q0", "w1", "0"), ("q0", "w2", "1"), ("q0", "w3", "1")]
         )
-        assert majority_vote(m).labels.tolist() == [0]
+        assert majority_vote(m).hard_labels.tolist() == [0]
 
     def test_three_class_majority(self):
         rows = [("q0", "w0", "0")] + [("q0", f"w{j}", "2") for j in range(1, 5)]
         m = matrix_from(rows, num_classes=3)
-        assert majority_vote(m).labels.tolist() == [2]
+        assert majority_vote(m).hard_labels.tolist() == [2]
 
     def test_unlabelled_item_flagged(self):
         m = matrix_from([("q0", "w0", "1")], item_ids=["q0", "q1"], num_classes=2)
         result = majority_vote(m)
-        assert result.labels.tolist() == [1, 0]
+        assert result.hard_labels.tolist() == [1, 0]
         assert result.is_unlabeled.tolist() == [False, True]
 
     def test_ties_flagged_apart_from_unlabelled_items(self):
@@ -49,7 +49,7 @@ class TestMajorityVote:
                 ("q3", "w3", "1"), ("q3", "w4", "0")]                     # 2-2-1 tie
         m = matrix_from(rows, item_ids=["q0", "q1", "q2", "q3", "q4"], num_classes=3)
         result = majority_vote(m)
-        assert result.labels.tolist() == [0, 1, 0, 1, 0]
+        assert result.hard_labels.tolist() == [0, 1, 0, 1, 0]
         assert result.is_tied.tolist() == [True, False, True, True, False]
         assert result.is_unlabeled.tolist() == [False, False, False, False, True]
 
@@ -57,8 +57,8 @@ class TestMajorityVote:
         rows = [("q0", "w0", "0"), ("q0", "w1", "1"), ("q1", "w1", "1"), ("q1", "w2", "1")]
         renamed = [(q, {"w0": "a", "w1": "b", "w2": "c"}[w], y) for q, w, y in rows]
         assert np.array_equal(
-            majority_vote(matrix_from(rows)).labels,
-            majority_vote(matrix_from(renamed)).labels,
+            majority_vote(matrix_from(rows)).hard_labels,
+            majority_vote(matrix_from(renamed)).hard_labels,
         )
 
     def test_class_permutation_equivariance(self):
@@ -76,7 +76,7 @@ class TestMajorityVote:
             item_ids=m.item_ids, worker_ids=m.worker_ids,
             label_names=tuple(np.array(m.label_names)[np.argsort(perm)]),
         )
-        base, moved = majority_vote(m).labels, majority_vote(permuted).labels
+        base, moved = majority_vote(m).hard_labels, majority_vote(permuted).hard_labels
         # equivariance holds wherever the original argmax was untied
         counts = np.stack(
             [np.bincount(m.items[m.labels == k], minlength=m.num_items) for k in range(3)]
@@ -134,7 +134,7 @@ def row_major_dawid_skene(matrix, params=DsParams()):
     )
 
     cell = workers * k + labels  # (worker, observed class) confusion row
-    trace = []
+    trace, deltas = [], []
     converged = False
     iterations = 0
     confusion = np.full((w, k, k), 1.0 / k)
@@ -165,6 +165,7 @@ def row_major_dawid_skene(matrix, params=DsParams()):
         )
 
         delta = float(np.abs(new_posteriors - posteriors).max())
+        deltas.append(delta)
         posteriors = new_posteriors
         if delta <= params.tolerance:
             converged = True
@@ -178,6 +179,7 @@ def row_major_dawid_skene(matrix, params=DsParams()):
         objective_trace=np.array(trace),
         converged=converged,
         iterations=iterations,
+        delta_trace=np.array(deltas),
     )
 
 
@@ -191,7 +193,7 @@ class TestDawidSkene:
             for j in rng.choice(6, size=3, replace=False)
         ]
         m = matrix_from(rows, num_classes=3)
-        assert np.array_equal(dawid_skene(m).hard_labels, majority_vote(m).labels)
+        assert np.array_equal(dawid_skene(m).hard_labels, majority_vote(m).hard_labels)
 
     def test_single_item_single_worker(self):
         m = matrix_from([("q0", "w0", "1")], num_classes=2)
@@ -228,7 +230,7 @@ class TestDawidSkene:
             (f"q{i}", f"w{j}", str(pattern[i])) for i in range(12) for j in range(4)
         ]
         m = matrix_from(rows, num_classes=2)
-        assert np.array_equal(dawid_skene(m).hard_labels, majority_vote(m).labels)
+        assert np.array_equal(dawid_skene(m).hard_labels, majority_vote(m).hard_labels)
 
     def test_matches_naive_reference(self):
         params = DsParams(max_iters=40, tolerance=1e-10)

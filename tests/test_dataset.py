@@ -650,13 +650,12 @@ class TestBinaryView:
             # items with a label other than k, then items with k
             assert np.array_equal(view.residual_used, np.concatenate(
                 (m.labels_per_item > positives, positives > 0)))
-            assert set(np.flatnonzero(view.worker_has_focal)) == set(m.workers[m.labels == k])
 
     def test_frozen_and_read_only(self):
         view = binary_view(LabelMatrix.from_triples([("q0", "w0", "1")]), 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             view.focal_class = 0
-        for arr in (view.worker_has_focal, view.residual_index, view.residual_used):
+        for arr in (view.residual_index, view.residual_used):
             assert not arr.flags.writeable
 
 

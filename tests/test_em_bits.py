@@ -23,16 +23,19 @@ SKEWED_K5 = SynthSpec(num_items=400, num_workers=25, num_classes=5, redundancy=6
 
 EM_BITS_SHA256 = "9626399891a10a44361293c7ca653bb420b97bcb4e581b3ff3cfd7d5ca986d95"
 
+# two crowds with rare classes and accuracies drawn from (0, 1): in some
+# m-steps of the av15-adjusted profile, no worker who gave a rare class
+# has an E[v_j] in the top binade of all workers'
+RARE_CLASS_CROWDS = tuple(
+    SynthSpec(num_items=200, num_workers=10, num_classes=4, redundancy=4, seed=seed,
+              class_prior=(0.85, 0.1, 0.03, 0.02), accuracy_range=(0.0, 1.0))
+    for seed in (44, 51)
+)
 
-def test_em_bits_pinned(tmp_path, capsys):
-    crowds = []
-    for n, synth in enumerate((SYNTH_K2, SYNTH_K4)):
-        labels = tmp_path / f"l{n}.csv"
-        assert main(["synth", *synth, "--out-labels", str(labels),
-                     "--out-truth", str(tmp_path / f"t{n}.csv")]) == 0
-        crowds.append(load_labels(labels))
-    capsys.readouterr()
-    crowds.append(generate(SKEWED_K5)[0])
+RARE_CLASS_SHA256 = "0f0f74b28bd82ddecb215d5f86bf907146c107e4e5c472a35dce7cc9d2e20d85"
+
+
+def _em_digest(crowds) -> str:
     digest = hashlib.sha256()
     for matrix in crowds:
         for profile in sorted(PROFILES):
@@ -43,4 +46,20 @@ def test_em_bits_pinned(tmp_path, capsys):
                 digest.update(run.nll_trace.tobytes())
                 digest.update(run.rel_trace.tobytes())
                 digest.update(np.int64(run.iterations).tobytes())
-    assert digest.hexdigest() == EM_BITS_SHA256
+    return digest.hexdigest()
+
+
+def test_em_bits_pinned(tmp_path, capsys):
+    crowds = []
+    for n, synth in enumerate((SYNTH_K2, SYNTH_K4)):
+        labels = tmp_path / f"l{n}.csv"
+        assert main(["synth", *synth, "--out-labels", str(labels),
+                     "--out-truth", str(tmp_path / f"t{n}.csv")]) == 0
+        crowds.append(load_labels(labels))
+    capsys.readouterr()
+    crowds.append(generate(SKEWED_K5)[0])
+    assert _em_digest(crowds) == EM_BITS_SHA256
+
+
+def test_rare_class_em_bits_pinned():
+    assert _em_digest(generate(spec)[0] for spec in RARE_CLASS_CROWDS) == RARE_CLASS_SHA256

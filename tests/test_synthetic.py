@@ -238,14 +238,14 @@ class TestGenerate:
         true_class = truth_map(truth)
         assert np.array_equal(matrix.labels, np.array(
             [true_class[i] for i in matrix.items.tolist()]))
-        assert accuracy(majority_vote(matrix).labels, truth) == 1.0
+        assert accuracy(majority_vote(matrix).hard_labels, truth) == 1.0
 
     def test_random_workers_leave_majority_vote_at_chance(self):
         conf = np.full((20, 2, 2), 0.5)
         spec = SynthSpec(num_items=10000, num_workers=20, num_classes=2, redundancy=3,
                          seed=17, confusion=conf)
         matrix, truth = generate(spec)
-        assert accuracy(majority_vote(matrix).labels, truth) == pytest.approx(0.5, abs=0.05)
+        assert accuracy(majority_vote(matrix).hard_labels, truth) == pytest.approx(0.5, abs=0.05)
 
     def test_class_prior_respected(self):
         spec = SynthSpec(num_items=8000, num_workers=5, num_classes=3, redundancy=1,
