@@ -19,8 +19,7 @@ from .dataset import LabelMatrix, vote_counts
 @dataclass(frozen=True)
 class MajorityVoteResult:
     hard_labels: np.ndarray   # per-item winning class (ties -> smallest index)
-    is_unlabeled: np.ndarray  # items with no votes at all (reported as class 0)
-    is_tied: np.ndarray       # labelled items whose top vote count 2+ classes share
+    is_tied: np.ndarray       # items whose top vote count 2+ classes share
 
 
 @dataclass(frozen=True)
@@ -59,30 +58,24 @@ class DawidSkeneResult:
 
 
 def majority_vote(matrix: LabelMatrix) -> MajorityVoteResult:
-    """Per item, the class with the most votes; ties go to the smallest index.
-
-    Items nobody labelled are flagged and reported as class 0; labelled
-    items decided by a tie are flagged too.
-    """
+    """Per item, the class with the most votes; ties go to the smallest
+    index, and the items they decide are flagged."""
     counts = vote_counts(matrix)
     labels = np.argmax(counts, axis=1)
     top = np.take_along_axis(counts, labels[:, None], axis=1)
-    is_unlabeled = top[:, 0] == 0
-    is_tied = (np.count_nonzero(counts == top, axis=1) > 1) & ~is_unlabeled
-    return MajorityVoteResult(hard_labels=labels.astype(np.int64),
-                              is_unlabeled=is_unlabeled, is_tied=is_tied)
+    is_tied = np.count_nonzero(counts == top, axis=1) > 1
+    return MajorityVoteResult(hard_labels=labels.astype(np.int64), is_tied=is_tied)
 
 
 def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSkeneResult:
     """Fit per-worker confusion matrices and class priors by EM.
 
-    Class posteriors start from the soft majority vote (uniform for
-    unlabelled items). Every M-step adds ``params.smoothing`` to each
-    confusion-matrix cell and class-prior count, which makes the fit a
-    MAP estimate under weak Dirichlet priors; ``objective_trace`` logs
-    the corresponding smoothed log posterior, which is non-decreasing,
-    and ``delta_trace`` the max posterior change the stopping rule reads.
-    Deterministic throughout.
+    Class posteriors start from the soft majority vote. Every M-step adds
+    ``params.smoothing`` to each confusion-matrix cell and class-prior
+    count, which makes the fit a MAP estimate under weak Dirichlet
+    priors; ``objective_trace`` logs the corresponding smoothed log
+    posterior, which is non-decreasing, and ``delta_trace`` the max
+    posterior change the stopping rule reads. Deterministic throughout.
     """
     if matrix.num_classes < 2:
         raise ValueError("Dawid-Skene needs at least 2 classes")
@@ -93,8 +86,7 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     # Class-major state: posteriors[c] and log_odds[c] are contiguous rows of
     # length N, and every reduction over classes is elementwise across rows.
     counts = vote_counts(matrix).T.astype(np.float64, order="C")
-    totals = counts.sum(axis=0)
-    posteriors = np.where(totals > 0, counts / np.maximum(totals, 1), 1.0 / k)
+    posteriors = counts / matrix.labels_per_item
 
     cell = workers * k + labels  # (worker, observed class) confusion row
     cell_count = np.bincount(cell, minlength=w * k).astype(np.float64)

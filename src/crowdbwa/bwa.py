@@ -250,11 +250,8 @@ def estimate_error_rate(matrix: LabelMatrix) -> float:
     dilutes the estimate, and ``b_v`` with it: binary labels declared
     as 3 classes give 2/3 of the 2-class value.
     """
-    if matrix.num_labels == 0:
-        raise ValueError("cannot estimate an error rate without labels")
-    labelled = matrix.labels_per_item > 0
-    counts = vote_counts(matrix)[labelled].astype(np.float64)
-    totals = matrix.labels_per_item[labelled][:, None]
+    counts = vote_counts(matrix).astype(np.float64)
+    totals = matrix.labels_per_item[:, None]
     per_cell = counts * (totals - counts) / totals
     raw = _exact_total(per_cell.ravel()) / (matrix.num_classes * matrix.num_labels)
     return max(raw, EPSILON_FLOOR)
@@ -340,16 +337,15 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     """Start from the soft majority vote.
 
     ``z_i`` is the fraction of the item's workers voting for the focal
-    class (0.5 for unlabelled items), ``mu`` the mean of those values;
+    class, ``mu`` the mean of those values;
     worker precisions follow from one expectation pass. Like every step,
     it needs ``hp`` resolved (``b_v`` set) and raises ``ValueError``
     otherwise.
     """
     _check_resolved(hp)
     m = view.matrix
-    totals = m.labels_per_item
     positives = np.bincount(view.residual_index, minlength=2 * m.num_items)[m.num_items:]
-    z = np.where(totals > 0, positives / np.maximum(totals, 1), 0.5)
+    z = positives / m.labels_per_item
     mu = _exact_total(z) / m.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
@@ -370,9 +366,9 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     """Re-solve the truth estimates, then the prior mean.
 
     ``z_i`` is the weighted average of the previous ``mu`` (weight
-    ``lam``) and the item's labels (weights ``E[v_j]``); items with no
-    labels therefore sit at ``mu``. The new ``mu`` is the mean of the
-    new ``z``. Updating sequentially keeps the objective non-increasing.
+    ``lam``) and the item's labels (weights ``E[v_j]``). The new ``mu``
+    is the mean of the new ``z``. Updating sequentially keeps the
+    objective non-increasing.
     """
     _check_resolved(hp)
     m, eqv, n = view.matrix, state.eqv, view.matrix.num_items
@@ -412,8 +408,6 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     and is non-increasing, and the stopping statistic in ``rel_trace``.
     Fully deterministic.
     """
-    if view.matrix.num_labels == 0:
-        raise ValueError("cannot run aggregation on a view with no labels")
     hp = resolve(hp, view.matrix)
     state = init_state(view, hp)
     trace = [state.nll]

@@ -163,9 +163,6 @@ def cmd_aggregate(args) -> int:
     result, elapsed = _run(args.method, matrix, hp)
     save_predictions(result.hard_labels, matrix, args.out)
     if args.method == "mv":
-        unlabeled = int(result.is_unlabeled.sum())
-        if unlabeled:
-            print(f"warning: {unlabeled} items had no labels", file=sys.stderr)
         tied = int(result.is_tied.sum())
         if tied:
             print(f"warning: {tied} items had tied top votes and went to the "

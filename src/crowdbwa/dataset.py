@@ -49,8 +49,9 @@ class LabelMatrix:
 
     ``items``, ``workers`` and ``labels`` are parallel arrays, one entry
     per collected label, kept in input order. Each (item, worker) pair
-    appears at most once. Instances are immutable after construction and
-    safe to share across concurrent aggregator runs.
+    appears at most once. There is at least one item and every item has
+    a label; a worker may have none. Instances are immutable after
+    construction and safe to share across concurrent aggregator runs.
     """
 
     items: np.ndarray
@@ -66,6 +67,11 @@ class LabelMatrix:
     def __post_init__(self):
         for arr in (self.items, self.workers, self.labels):
             arr.setflags(write=False)
+        if not self.num_items:
+            raise ValidationError("a label matrix needs at least one item")
+        if not self.labels_per_item.all():
+            unlabelled = self.item_ids[int(self.labels_per_item.argmin())]
+            raise ValidationError(f"item {unlabelled!r} has no label")
 
     @property
     def num_labels(self) -> int:
@@ -87,13 +93,13 @@ class LabelMatrix:
 
     @cached_property
     def max_labels_per_item(self) -> int:
-        """The largest |W_i| (0 without labels)."""
-        return int(self.labels_per_item.max(initial=0))
+        """The largest |W_i|."""
+        return int(self.labels_per_item.max())
 
     @cached_property
     def max_labels_per_worker(self) -> int:
-        """The largest |N_j| (0 without labels)."""
-        return int(self.labels_per_worker.max(initial=0))
+        """The largest |N_j|."""
+        return int(self.labels_per_worker.max())
 
     @cached_property
     def item_index(self) -> dict[str, int]:
@@ -129,12 +135,13 @@ class LabelMatrix:
         """Build a matrix from (item id, worker id, label) triples.
 
         Dense indices follow first-appearance order unless an explicit
-        id universe is supplied (which may include items or workers that
-        never occur in ``records``). When every label string is a
-        non-negative integer, the label value is its own class index and
-        ``num_classes`` may extend the class count beyond the observed
-        maximum; otherwise classes are the distinct label strings in
-        first-appearance order.
+        id universe is supplied. An explicit worker list may include
+        workers that never occur in ``records``; an explicit item list
+        only reorders the items, since every item needs a label. When
+        every label string is a non-negative integer, the label value is
+        its own class index and ``num_classes`` may extend the class
+        count beyond the observed maximum; otherwise classes are the
+        distinct label strings in first-appearance order.
         """
         records = list(records)
         if not records or set(map(len, records)) != {3}:

@@ -35,23 +35,16 @@ class TestMajorityVote:
         m = matrix_from(rows, num_classes=3)
         assert majority_vote(m).hard_labels.tolist() == [2]
 
-    def test_unlabelled_item_flagged(self):
-        m = matrix_from([("q0", "w0", "1")], item_ids=["q0", "q1"], num_classes=2)
-        result = majority_vote(m)
-        assert result.hard_labels.tolist() == [1, 0]
-        assert result.is_unlabeled.tolist() == [False, True]
-
     def test_ties_flagged_apart_from_unlabelled_items(self):
         rows = [("q0", "w0", "0"), ("q0", "w1", "1"),                    # 1-1 tie
                 ("q1", "w0", "1"), ("q1", "w1", "1"), ("q1", "w2", "0"),  # majority
                 ("q2", "w0", "0"), ("q2", "w1", "1"), ("q2", "w2", "2"),  # 3-way tie
                 ("q3", "w0", "2"), ("q3", "w1", "2"), ("q3", "w2", "1"),
                 ("q3", "w3", "1"), ("q3", "w4", "0")]                     # 2-2-1 tie
-        m = matrix_from(rows, item_ids=["q0", "q1", "q2", "q3", "q4"], num_classes=3)
+        m = matrix_from(rows, num_classes=3)
         result = majority_vote(m)
-        assert result.hard_labels.tolist() == [0, 1, 0, 1, 0]
-        assert result.is_tied.tolist() == [True, False, True, True, False]
-        assert result.is_unlabeled.tolist() == [False, False, False, False, True]
+        assert result.hard_labels.tolist() == [0, 1, 0, 1]
+        assert result.is_tied.tolist() == [True, False, True, True]
 
     def test_worker_identity_irrelevant(self):
         rows = [("q0", "w0", "0"), ("q0", "w1", "1"), ("q1", "w1", "1"), ("q1", "w2", "1")]
@@ -257,12 +250,10 @@ class TestDawidSkene:
     def test_unlabelled_item_idle_worker_unused_class(self):
         rows = [("q0", "w0", "0"), ("q0", "w1", "1"), ("q1", "w0", "1"),
                 ("q1", "w1", "1"), ("q2", "w0", "0"), ("q2", "w1", "0")]
-        m = matrix_from(rows, item_ids=["q0", "q1", "q2", "q3"],
-                        worker_ids=["w0", "w1", "w2"], num_classes=3)
+        m = matrix_from(rows, worker_ids=["w0", "w1", "w2"], num_classes=3)
         result = dawid_skene(m)
-        assert result.posteriors.shape == (4, 3)
+        assert result.posteriors.shape == (3, 3)
         assert result.confusion.shape == (3, 3, 3)
-        assert np.abs(result.posteriors[3] - result.class_priors).max() <= 1e-15
         assert np.abs(result.confusion[2] - 1.0 / 3).max() <= 1e-15
         assert np.abs(result.confusion.sum(axis=2) - 1.0).max() <= 1e-15
 

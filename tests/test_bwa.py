@@ -45,21 +45,6 @@ def fixed_hp(a_v, b_v, **kwargs):
     return BwaHyperParams(a_v=a_v, b_v=b_v, epsilon_strategy="fixed", **kwargs)
 
 
-def empty_matrix(num_items=1, num_classes=2):
-    """A matrix with items but neither workers nor labels."""
-    return LabelMatrix(
-        items=np.empty(0, dtype=np.int64),
-        workers=np.empty(0, dtype=np.int64),
-        labels=np.empty(0, dtype=np.int64),
-        num_items=num_items,
-        num_workers=0,
-        num_classes=num_classes,
-        item_ids=tuple(f"q{i}" for i in range(num_items)),
-        worker_ids=(),
-        label_names=tuple(str(k) for k in range(num_classes)),
-    )
-
-
 # The gather-then-split EM that folding per-worker and per-item tables
 # replaced, kept as the reference: every reduction splits the per-label
 # summands themselves, and whole-array sums go through math.fsum.
@@ -173,10 +158,6 @@ class TestErrorRate:
         m = matrix_from([("q0", "w0", "0"), ("q0", "w1", "1"), ("q0", "w2", "2")])
         assert estimate_error_rate(m) == pytest.approx(2.0 / 9.0, rel=1e-12)
 
-    def test_no_labels_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_error_rate(empty_matrix())
-
     def test_binary_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -286,11 +267,6 @@ class TestInitState:
         state = init_state(binary_view(m, 1), fixed_hp(15.0, 3.0))
         assert state.z[0] == pytest.approx(2.0 / 3.0)
 
-    def test_unlabelled_item_at_half(self):
-        m = matrix_from([("q0", "w0", "1")], item_ids=["q0", "q1"], num_classes=2)
-        state = init_state(binary_view(m, 1), fixed_hp(15.0, 3.0))
-        assert state.z[1] == 0.5
-
     def test_unanimous_mean(self):
         m = matrix_from([("q0", "w0", "1"), ("q1", "w0", "1"), ("q1", "w1", "1")])
         state = init_state(binary_view(m, 1), fixed_hp(15.0, 3.0))
@@ -354,14 +330,6 @@ class TestMStep:
         state.mu = 0.5
         state.eqv = np.array([1.0, 1.0])
         assert m_step(state, view, hp).z[0] == 0.5
-
-    def test_unlabelled_item_moves_to_mu(self):
-        m = matrix_from([("q0", "w0", "1")], item_ids=["q0", "q1"], num_classes=2)
-        view = binary_view(m, 1)
-        hp = fixed_hp(15.0, 3.0)
-        state = init_state(view, hp)
-        state.mu = 0.25
-        assert m_step(state, view, hp).z[1] == 0.25
 
 
 def _two_sum_m_step_z(state, view, hp):
@@ -427,21 +395,23 @@ class TestMStepSharedGroupedSum:
 
 
 class TestNegLogLikelihood:
-    def test_zero_at_prior_mean_without_workers(self):
-        view = binary_view(empty_matrix(num_items=1), 1)
-        hp = fixed_hp(15.0, 3.0)
+    @staticmethod
+    def item_term(z, mu, hp):
+        """The objective at (z, mu) for one item with one focal label, less
+        the worker's closed-form term ``0.5 * (a_v + 1) * log(b_v + (z - 1)**2)``."""
+        view = binary_view(matrix_from([("q0", "w0", "1")], num_classes=2), 1)
         state = init_state(view, hp)
-        state.z = np.array([0.3])
-        state.mu = 0.3
-        assert neg_log_likelihood(state, view, hp) == 0.0
+        state.z, state.mu = np.array([z]), mu
+        residual = z - 1.0
+        worker_term = 0.5 * (hp.a_v + 1) * np.log(hp.b_v + residual * residual)
+        return neg_log_likelihood(state, view, hp) - worker_term
+
+    def test_zero_at_prior_mean_without_workers(self):
+        assert self.item_term(0.3, 0.3, fixed_hp(15.0, 3.0)) == 0.0
 
     def test_prior_term_alone(self):
-        view = binary_view(empty_matrix(num_items=1), 1)
-        hp = fixed_hp(15.0, 3.0, lam=1.0)
-        state = init_state(view, hp)
-        state.z = np.array([1.0])
-        state.mu = 0.0
-        assert neg_log_likelihood(state, view, hp) == 0.5
+        # b_v + (z - 1)**2 = 1: the worker term is 0, so the item term is exact
+        assert self.item_term(1.0, 0.0, fixed_hp(15.0, 1.0, lam=1.0)) == 0.5
 
     def test_lower_error_sums_score_better(self):
         m = matrix_from([("q0", "w0", "1")], num_classes=2)
@@ -681,10 +651,6 @@ class TestRunEmBinary:
         expected = np.array([z[0], z[1], z[2]])
         assert result.scores == pytest.approx(expected, abs=1e-9)
 
-    def test_empty_view_rejected(self):
-        with pytest.raises(ValueError):
-            run_em_binary(binary_view(empty_matrix(), 1), fixed_hp(2.0, 1.0))
-
     def test_trace_non_increasing(self):
         m, _ = generate(SynthSpec(num_items=150, num_workers=12, num_classes=2,
                                   redundancy=4, seed=11, accuracy_range=(0.4, 0.95)))
@@ -806,11 +772,11 @@ def _reference_crowds():
     crowds = {name: generate(s)[0] for name, s in spec.items()}
     m = generate(SynthSpec(num_items=300, num_workers=25, num_classes=3, redundancy=3,
                            seed=25))[0]
-    # class 3 nobody used, 4 idle workers and 6 unlabelled items
-    crowds["phantom-idle-unlabelled"] = LabelMatrix(
+    # class 3 nobody used and 4 idle workers
+    crowds["phantom-idle"] = LabelMatrix(
         items=m.items, workers=m.workers, labels=m.labels,
-        num_items=m.num_items + 6, num_workers=m.num_workers + 4, num_classes=4,
-        item_ids=m.item_ids + tuple(f"u{i}" for i in range(6)),
+        num_items=m.num_items, num_workers=m.num_workers + 4, num_classes=4,
+        item_ids=m.item_ids,
         worker_ids=m.worker_ids + tuple(f"idle{j}" for j in range(4)),
         label_names=("0", "1", "2", "3"),
     )

@@ -323,7 +323,7 @@ class TestRoundTrip:
         LabelMatrix.from_triples(
             [("é1", "wörker", "ja"), ("q 2", "wörker", "nein"), ("é1", "w2", "vielleicht"),
              ("問題", "w2", "ja")],
-            item_ids=["問題", "unlabelled", "é1", "q 2", "also unlabelled"],
+            item_ids=["問題", "é1", "q 2"],
             worker_ids=["idle", "w2", "wörker"],
         ),
     ], ids=["generated", "unicode-ids"])
@@ -472,7 +472,8 @@ class TestItemLabelReaders:
 class TestSavePredictions:
     def test_matches_row_writer(self, tmp_path):
         matrix = LabelMatrix.from_triples(
-            [("é1", "w", "ja"), ("q 2", "w", "nein")], item_ids=["問題", "é1", "q 2"])
+            [("é1", "w", "ja"), ("q 2", "w", "nein"), ("問題", "w", "ja")],
+            item_ids=["問題", "é1", "q 2"])
         labels = np.array([1, 0, 1])
         save_predictions(labels, matrix, tmp_path / "p.csv")
         rows = [PREDICTIONS_HEADER] + [f"{q},{matrix.label_names[k]}"
@@ -518,15 +519,15 @@ class TestSaveRejectsUnreadableNames:
 class TestFromTriples:
     def test_explicit_universe_keeps_unlabelled_entries(self):
         m = LabelMatrix.from_triples(
-            [("q0", "w0", "1")],
-            item_ids=["q0", "q1", "q2"],
+            [("q0", "w0", "1"), ("q1", "w0", "0")],
+            item_ids=["q1", "q0"],
             worker_ids=["w0", "w1"],
             num_classes=2,
         )
-        assert m.num_items == 3
+        assert m.item_ids == ("q1", "q0")
         assert m.num_workers == 2
-        assert list(m.labels_per_item) == [1, 0, 0]
-        assert list(m.labels_per_worker) == [1, 0]
+        assert list(m.labels_per_item) == [1, 1]
+        assert list(m.labels_per_worker) == [2, 0]
 
     def test_unknown_id_with_explicit_universe(self):
         with pytest.raises(ValidationError, match="unknown item"):
@@ -572,6 +573,25 @@ class TestFromTriples:
             LabelMatrix.from_triples([("q0", "w0", "yes")], num_classes=3)
 
 
+class TestEveryItemHasALabel:
+    """A matrix holds at least one item, and every item has a label."""
+
+    def test_direct_constructor_names_first_unlabelled_item(self):
+        with pytest.raises(ValidationError, match="^item 'q1' has no label$"):
+            LabelMatrix(np.array([0, 2]), np.array([0, 0]), np.array([0, 1]), 4, 1, 2,
+                        ("q0", "q1", "q2", "q3"), ("w0",), ("0", "1"))
+
+    def test_explicit_item_without_label(self):
+        with pytest.raises(ValidationError, match="^item 'q2' has no label$"):
+            LabelMatrix.from_triples([("q0", "w0", "0"), ("q1", "w0", "1")],
+                                     item_ids=["q0", "q2", "q1"])
+
+    def test_no_items(self):
+        none = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValidationError, match="at least one item"):
+            LabelMatrix(none, none, none, 0, 0, 2, (), (), ("0", "1"))
+
+
 class TestVoteCounts:
     def test_basic_counts(self):
         m = LabelMatrix.from_triples(
@@ -581,12 +601,6 @@ class TestVoteCounts:
         assert vc.dtype == np.int64 and not vc.flags.writeable
         assert vc.tolist() == [[2, 1]]
         assert vc.sum(axis=1).tolist() == [3]
-
-    def test_unlabelled_item_all_zero(self):
-        m = LabelMatrix.from_triples(
-            [("q0", "w0", "0")], item_ids=["q0", "q1"], num_classes=2
-        )
-        assert vote_counts(m)[1].tolist() == [0, 0]
 
     def test_three_classes_unanimous(self):
         m = LabelMatrix.from_triples(
