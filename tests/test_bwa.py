@@ -33,7 +33,7 @@ from crowdbwa.bwa import (
     run_em_binary,
     worker_accuracy,
 )
-from crowdbwa.dataset import LabelMatrix, binary_view
+from crowdbwa.dataset import LabelMatrix, ValidationError, binary_view
 from crowdbwa.synthetic import SynthSpec, generate
 
 
@@ -43,6 +43,22 @@ def matrix_from(rows, **kwargs):
 
 def fixed_hp(a_v, b_v, **kwargs):
     return BwaHyperParams(a_v=a_v, b_v=b_v, epsilon_strategy="fixed", **kwargs)
+
+
+def empty_matrix(num_items=1, num_classes=2):
+    """A matrix with items but neither workers nor labels: building it
+    raises, since every item of a LabelMatrix has a label."""
+    return LabelMatrix(
+        items=np.empty(0, dtype=np.int64),
+        workers=np.empty(0, dtype=np.int64),
+        labels=np.empty(0, dtype=np.int64),
+        num_items=num_items,
+        num_workers=0,
+        num_classes=num_classes,
+        item_ids=tuple(f"q{i}" for i in range(num_items)),
+        worker_ids=(),
+        label_names=tuple(str(k) for k in range(num_classes)),
+    )
 
 
 # The gather-then-split EM that folding per-worker and per-item tables
@@ -157,6 +173,11 @@ class TestErrorRate:
         # contributing 2/3; total 2 over 3*3 pooled labels.
         m = matrix_from([("q0", "w0", "0"), ("q0", "w1", "1"), ("q0", "w2", "2")])
         assert estimate_error_rate(m) == pytest.approx(2.0 / 9.0, rel=1e-12)
+
+    def test_no_labels_rejected(self):
+        # a crowd without labels cannot be built, so it never reaches the estimate
+        with pytest.raises(ValidationError, match="^item 'q0' has no label$"):
+            estimate_error_rate(empty_matrix())
 
     def test_binary_bound(self):
         rng = np.random.default_rng(7)
@@ -650,6 +671,10 @@ class TestRunEmBinary:
             mu = np.mean(list(z.values()))
         expected = np.array([z[0], z[1], z[2]])
         assert result.scores == pytest.approx(expected, abs=1e-9)
+
+    def test_empty_view_rejected(self):
+        with pytest.raises(ValidationError, match="^item 'q0' has no label$"):
+            run_em_binary(binary_view(empty_matrix(), 1), fixed_hp(2.0, 1.0))
 
     def test_trace_non_increasing(self):
         m, _ = generate(SynthSpec(num_items=150, num_workers=12, num_classes=2,
