@@ -23,7 +23,7 @@ each class against the rest and the highest-scoring class wins.
 No reduction depends on the order of its summands: whole-array sums are
 correctly rounded (``_exact_total``, bit for bit ``math.fsum``), and
 per-worker and per-item sums are pre-rounded onto a power-of-two grid on
-which ``np.bincount`` adds without rounding (see ``_exact_sums``). Each
+which ``_group_sum`` adds without rounding (see ``_exact_sums``). Each
 sum is thus a function of the multiset of its summands, so repeated runs
 are bit-identical, relabelling items or workers permutes every output
 without perturbing a single bit, and the order of the label rows does
@@ -36,6 +36,7 @@ rounding is done on the table, once per entry, not once per label.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -160,7 +161,7 @@ def _exact_sums(table, used, index, groups, num_groups: int,
     and ``max_group_size`` so that no group's partial sum spans more
     than 2**53 grid steps, and the second from the first's rounding
     error in the same way. Every partial sum of a fold is then exact, so
-    ``np.bincount`` adds in any order without rounding, and each group's
+    ``_group_sum`` adds in any order without rounding, and each group's
     result depends only on the multiset of its summands (plus max|x| and
     ``max_group_size``, which relabelling or reordering the summands
     leaves alone). What the two folds leave out is at most
@@ -175,8 +176,27 @@ def _exact_sums(table, used, index, groups, num_groups: int,
     where ``x`` puts it.
     """
     fold, rest = _folds(table, _grid(table, used, max_group_size), max_group_size)
-    return (np.bincount(groups, fold[index], num_groups)
-            + np.bincount(groups, rest[index], num_groups))
+    return (_group_sum(groups, fold, index, num_groups)
+            + _group_sum(groups, rest, index, num_groups))
+
+
+#: Labels ``_group_sum`` gathers at a time.
+_GATHER_CHUNK = 1 << 16
+
+
+def _group_sum(groups, table, index, n: int) -> np.ndarray:
+    """Per group, the sum of ``table[index]``: bit for bit
+    ``np.bincount(groups, table[index], n)``, adding in the same order.
+
+    It holds only the output and one chunk of gathered summands. Unlike
+    ``np.bincount``, ``np.add.at`` reads a read-only ``groups`` in place,
+    without copying it, and every group index EM passes is read-only.
+    """
+    out = np.zeros(n)
+    for start in range(0, groups.size, _GATHER_CHUNK):
+        part = slice(start, start + _GATHER_CHUNK)
+        np.add.at(out, groups[part], table[index[part]])
+    return out
 
 
 def _grid(table, used, max_group_size: int) -> int:
@@ -376,7 +396,7 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     exp = _grid(eqv, m.labels_per_worker > 0, size)
     # Per fold, each item's E[v_j] summed over its labels y = 0, then over
     # its labels y = 1: two exact partial sums of the item's group
-    f, r = (np.bincount(view.residual_index, fold[m.workers], 2 * n)
+    f, r = (_group_sum(view.residual_index, fold, m.workers, 2 * n)
             for fold in _folds(eqv, exp, size))
     den = (f[:n] + f[n:]) + (r[:n] + r[n:])
     # only labels y = 1 add to the numerator: a subset of the denominator's
@@ -437,25 +457,60 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     )
 
 
+#: From this many labels up, ``aggregate_multiclass`` splits the class runs
+#: over two threads; below it the hand-off and the interpreter lock cost
+#: more than the split saves.
+_SPLIT_MIN_LABELS = 1 << 17
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassResult:
     """Score every class one-versus-rest and pick the per-item argmax.
 
     The error rate is estimated once from the full matrix and the
     resulting ``b_v`` is shared by all class runs. Ties in the argmax
-    resolve to the smallest class index. The class runs are independent
-    and deterministic, but they run one after another: each holds a view
-    and label-length temporaries, and two at a time on a 2-thread pool
-    raised the peak RSS of a synth, mv, ds, bwa sequence on the 100k-item
-    benchmark crowd from 127 to 177-179 MB on 2 cores (and made files
-    under about 30k labels 1.5-2.4x slower) while cutting its EM from
-    0.72 to 0.44 s.
+    resolve to the smallest class index.
+
+    The class runs share nothing but the read-only ``matrix``. A crowd
+    of at least ``_SPLIT_MIN_LABELS`` labels, in a process that may use
+    two or more CPUs, runs classes 0, 2, 4, ... on the calling thread
+    and 1, 3, 5, ... on one helper thread, whose exceptions re-raise
+    here; anything smaller runs them one after another. Each class is
+    computed by one thread from the same inputs, so the results are bit
+    for bit the same either way. Memory is shaped to keep the process
+    peak where the sequential runs put it, since glibc gives each
+    thread a malloc arena that keeps its peak after the thread's
+    temporaries are freed: there is one helper, not a pool; the caller
+    builds the helper's views and fills ``matrix``'s cached counts
+    before the split (which also keeps the threads from racing to fill
+    them); and the grouped sums go through ``_group_sum``, which makes
+    no copy of the read-only indexes and gathers the summands in
+    chunks rather than one label-length array.
     """
     if matrix.num_classes < 2:
         raise ValueError("multi-class aggregation needs at least 2 classes")
     hp = resolve(hp, matrix)
-    per_class = tuple(
-        run_em_binary(binary_view(matrix, k), hp) for k in range(matrix.num_classes)
-    )
+    classes = range(matrix.num_classes)
+    if matrix.num_labels < _SPLIT_MIN_LABELS or _usable_cpus() < 2:
+        per_class = tuple(run_em_binary(binary_view(matrix, k), hp) for k in classes)
+    else:
+        # imported here, since it pulls in logging: start-up time that
+        # only a crowd large enough to split pays
+        from concurrent.futures import ThreadPoolExecutor
+
+        # fill the cached counts EM reads, so the threads never race to compute them
+        matrix.labels_per_worker, matrix.max_labels_per_worker, matrix.max_labels_per_item
+        odd_views = [binary_view(matrix, k) for k in classes[1::2]]
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            odd_runs = helper.submit(lambda: [run_em_binary(v, hp) for v in odd_views])
+            even = [run_em_binary(binary_view(matrix, k), hp) for k in classes[::2]]
+            odd = odd_runs.result()
+        per_class = tuple(even[k // 2] if k % 2 == 0 else odd[k // 2] for k in classes)
     scores = np.stack([r.scores for r in per_class])
     weights = np.mean([r.worker_weights for r in per_class], axis=0)
     return MultiClassResult(

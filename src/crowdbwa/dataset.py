@@ -48,10 +48,11 @@ class LabelMatrix:
     """Immutable sparse store of crowd labels.
 
     ``items``, ``workers`` and ``labels`` are parallel arrays, one entry
-    per collected label, kept in input order. Each (item, worker) pair
-    appears at most once. There is at least one item and every item has
-    a label; a worker may have none. Instances are immutable after
-    construction and safe to share across concurrent aggregator runs.
+    per collected label, kept in input order, each index below its count.
+    Each (item, worker) pair appears at most once. There is at least one
+    item and every item has a label; a worker may have none. Instances
+    are immutable after construction and safe to share across concurrent
+    aggregator runs.
     """
 
     items: np.ndarray
@@ -69,6 +70,12 @@ class LabelMatrix:
             arr.setflags(write=False)
         if not self.num_items:
             raise ValidationError("a label matrix needs at least one item")
+        for name, bound in (("items", self.num_items), ("workers", self.num_workers),
+                            ("labels", self.num_classes)):
+            arr = getattr(self, name)
+            if arr.size and not 0 <= arr.min() <= arr.max() < bound:
+                raise ValidationError(f"{name} must lie in [0, {bound}), "
+                                      f"found {arr.min()}..{arr.max()}")
         if not self.labels_per_item.all():
             unlabelled = self.item_ids[int(self.labels_per_item.argmin())]
             raise ValidationError(f"item {unlabelled!r} has no label")

@@ -6,11 +6,14 @@ inline, and against majority vote where the two provably coincide.
 """
 
 import math
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crowdbwa import bwa
 from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
     EPSILON_FLOOR,
@@ -21,6 +24,7 @@ from crowdbwa.bwa import (
     _exact_sums,
     _exact_total,
     _grid,
+    _group_sum,
     adjust_error_rate,
     aggregate_multiclass,
     derive_bv,
@@ -562,6 +566,42 @@ class TestExactSums:
             assert sums.tobytes() == expected.tobytes()
 
 
+class TestGroupSum:
+    """``_group_sum`` is ``np.bincount`` of gathered weights, bit for bit,
+    and holds neither a copy of its index nor a label-length gather."""
+
+    @pytest.mark.parametrize("size", [1, 2000, 200_000])
+    def test_matches_bincount_on_read_only_index(self, size):
+        rng = np.random.default_rng(size)
+        n = max(1, size // 3)
+        groups = rng.integers(0, n, size)
+        index = rng.integers(0, 5000, size)
+        for arr in (groups, index):
+            arr.setflags(write=False)
+        # no grid: the sums round, so only the same order of addition matches
+        table = rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
+        got = _group_sum(groups, table, index, n)
+        assert got.tobytes() == np.bincount(groups, table[index], n).tobytes()
+
+    def test_holds_the_output_and_one_chunk(self):
+        size, n = 200_000, 1000
+        rng = np.random.default_rng(0)
+        groups = rng.integers(0, n, size)
+        index = rng.integers(0, 5000, size)
+        for arr in (groups, index):
+            arr.setflags(write=False)
+        table = rng.random(5000)
+        tracemalloc.start()
+        try:
+            _group_sum(groups, table, index, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of either index, or the summands gathered at once, would
+        # alone take 8 * size = 1.6 MB
+        assert peak < 8 * n + 4 * size
+
+
 class TestGrid:
     """The grid taken from max|x| over the used entries is the one a
     masked ``max(where=...)`` gives."""
@@ -780,6 +820,82 @@ class TestAggregateMulticlass:
         expected_eps = adjust_error_rate(estimate_error_rate(m), 3)
         assert result.epsilon == pytest.approx(expected_eps, rel=1e-12)
         assert result.b_v == pytest.approx(15.0 * expected_eps, rel=1e-12)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+class TestSplitClassRuns:
+    """A crowd of ``_SPLIT_MIN_LABELS`` labels or more, with two usable
+    CPUs, runs its odd classes on one helper thread, bit for bit as the
+    sequential runs."""
+
+    FIELDS = ("scores", "hard_labels", "worker_weights", "nll_trace", "rel_trace")
+
+    @staticmethod
+    def crowd(num_classes):
+        return generate(SynthSpec(num_items=400, num_workers=40, num_classes=num_classes,
+                                  redundancy=5, seed=num_classes,
+                                  accuracy_range=(0.4, 0.9)))[0]
+
+    @staticmethod
+    def split_everything(monkeypatch, cpus=2):
+        monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(bwa, "_usable_cpus", lambda: cpus)
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5])
+    def test_split_matches_sequential(self, monkeypatch, thread_starts, num_classes):
+        hp = PROFILES["av15-adjusted"]
+        sequential = aggregate_multiclass(self.crowd(num_classes), hp)
+        assert thread_starts == []
+        self.split_everything(monkeypatch)
+        split = aggregate_multiclass(self.crowd(num_classes), hp)
+        assert len(thread_starts) == 1
+        assert len(split.per_class) == num_classes
+        for seq, par in zip(sequential.per_class, split.per_class):
+            for field in self.FIELDS:
+                assert getattr(seq, field).tobytes() == getattr(par, field).tobytes(), field
+            assert (seq.iterations, seq.converged, seq.mu) == (par.iterations, par.converged,
+                                                              par.mu)
+        for field in ("score_matrix", "hard_labels", "worker_weights"):
+            assert getattr(sequential, field).tobytes() == getattr(split, field).tobytes()
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts):
+        self.split_everything(monkeypatch, cpus=1)
+        aggregate_multiclass(self.crowd(3), PROFILES["av15-adjusted"])
+        assert thread_starts == []
+
+    def test_crowd_below_the_gate_starts_no_thread(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(bwa, "_usable_cpus", lambda: 2)
+        m = self.crowd(3)
+        assert m.num_labels < bwa._SPLIT_MIN_LABELS
+        aggregate_multiclass(m, PROFILES["av15-adjusted"])
+        assert thread_starts == []
+
+    def test_helper_error_reraises(self, monkeypatch, thread_starts):
+        self.split_everything(monkeypatch)
+        run = bwa.run_em_binary
+
+        def failing(view, hp):
+            if view.focal_class == 1:
+                raise FloatingPointError("class 1 failed")
+            return run(view, hp)
+
+        monkeypatch.setattr(bwa, "run_em_binary", failing)
+        with pytest.raises(FloatingPointError, match="^class 1 failed$"):
+            aggregate_multiclass(self.crowd(3), PROFILES["av15-adjusted"])
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
 
 
 def _reference_crowds():

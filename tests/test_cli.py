@@ -255,6 +255,19 @@ class TestAggregate:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_leaves_out_the_thread_pool_module(self):
+        # concurrent.futures pulls in logging, about 10 ms of start-up;
+        # only a crowd large enough to split its class runs may load it
+        src = str(Path(crowdbwa.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, crowdbwa.cli\n"
+             "assert 'concurrent.futures' not in sys.modules"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_every_command_runs_without_scipy(self, tmp_path, capsys):
         # every command runs where importing scipy fails
         for name, seed in (("ds1", 1), ("ds2", 2), ("ds3", 3)):

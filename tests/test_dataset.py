@@ -592,6 +592,41 @@ class TestEveryItemHasALabel:
             LabelMatrix(none, none, none, 0, 0, 2, (), (), ("0", "1"))
 
 
+class TestIndicesInRange:
+    """Every item, worker and label index lies below its count."""
+
+    @staticmethod
+    def build(items, workers, labels, num_items=2, num_workers=1, num_classes=2):
+        return LabelMatrix(np.array(items), np.array(workers), np.array(labels),
+                           num_items, num_workers, num_classes,
+                           tuple(f"q{i}" for i in range(num_items)),
+                           tuple(f"w{j}" for j in range(num_workers)),
+                           tuple(str(k) for k in range(num_classes)))
+
+    def test_item_beyond_num_items(self):
+        with pytest.raises(ValidationError, match=r"^items must lie in \[0, 2\), found 0\.\.5$"):
+            self.build([0, 1, 5], [0, 0, 0], [0, 1, 0])
+
+    def test_worker_beyond_num_workers(self):
+        with pytest.raises(ValidationError, match=r"^workers must lie in \[0, 1\), found 0\.\.3$"):
+            self.build([0, 1], [0, 3], [0, 1])
+
+    def test_label_beyond_num_classes(self):
+        with pytest.raises(ValidationError, match=r"^labels must lie in \[0, 2\), found 0\.\.2$"):
+            self.build([0, 1], [0, 0], [0, 2])
+
+    @pytest.mark.parametrize("column", range(3))
+    def test_negative_index(self, column):
+        columns = [[0, 1], [0, 0], [0, 1]]
+        columns[column] = [0, -1]
+        with pytest.raises(ValidationError, match=r"must lie in \[0, \d\), found -1\.\.0$"):
+            self.build(*columns)
+
+    def test_indices_at_their_bounds(self):
+        m = self.build([0, 1], [0, 1], [1, 0], num_workers=2)
+        assert m.labels_per_worker.tolist() == [1, 1]
+
+
 class TestVoteCounts:
     def test_basic_counts(self):
         m = LabelMatrix.from_triples(
