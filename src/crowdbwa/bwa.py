@@ -364,8 +364,10 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     """
     _check_resolved(hp)
     m = view.matrix
-    positives = np.bincount(view.residual_index, minlength=2 * m.num_items)[m.num_items:]
-    z = positives / m.labels_per_item
+    # np.add.at, unlike np.bincount, reads the read-only index in place
+    counts = np.zeros(2 * m.num_items, dtype=np.int64)
+    np.add.at(counts, view.residual_index, 1)
+    z = counts[m.num_items:] / m.labels_per_item
     mu = _exact_total(z) / m.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
@@ -486,11 +488,9 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
     peak where the sequential runs put it, since glibc gives each
     thread a malloc arena that keeps its peak after the thread's
     temporaries are freed: there is one helper, not a pool; the caller
-    builds the helper's views and fills ``matrix``'s cached counts
-    before the split (which also keeps the threads from racing to fill
-    them); and the grouped sums go through ``_group_sum``, which makes
-    no copy of the read-only indexes and gathers the summands in
-    chunks rather than one label-length array.
+    builds the helper's views; and the grouped sums go through
+    ``_group_sum``, which makes no copy of the read-only indexes and
+    gathers the summands in chunks rather than one label-length array.
     """
     if matrix.num_classes < 2:
         raise ValueError("multi-class aggregation needs at least 2 classes")
@@ -503,8 +503,6 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
         # only a crowd large enough to split pays
         from concurrent.futures import ThreadPoolExecutor
 
-        # fill the cached counts EM reads, so the threads never race to compute them
-        matrix.labels_per_worker, matrix.max_labels_per_worker, matrix.max_labels_per_item
         odd_views = [binary_view(matrix, k) for k in classes[1::2]]
         with ThreadPoolExecutor(max_workers=1) as helper:
             odd_runs = helper.submit(lambda: [run_em_binary(v, hp) for v in odd_views])

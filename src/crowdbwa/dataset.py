@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -48,11 +48,14 @@ class LabelMatrix:
     """Immutable sparse store of crowd labels.
 
     ``items``, ``workers`` and ``labels`` are parallel arrays, one entry
-    per collected label, kept in input order, each index below its count.
-    Each (item, worker) pair appears at most once. There is at least one
-    item and every item has a label; a worker may have none. Instances
-    are immutable after construction and safe to share across concurrent
-    aggregator runs.
+    per collected label, kept in input order, each index below its count,
+    and ``item_ids``, ``worker_ids`` and ``label_names`` hold one name per
+    index. Each (item, worker) pair appears at most once. There is at
+    least one item and every item has a label; a worker may have none.
+    The per-item and per-worker label counts and their maxima are taken
+    once, at construction. Every array is read-only, so an instance is
+    complete once built and safe to share across concurrent aggregator
+    runs.
     """
 
     items: np.ndarray
@@ -64,49 +67,39 @@ class LabelMatrix:
     item_ids: tuple[str, ...]
     worker_ids: tuple[str, ...]
     label_names: tuple[str, ...]
+    labels_per_item: np.ndarray = field(init=False)    # |W_i|: workers who labelled item i
+    labels_per_worker: np.ndarray = field(init=False)  # |N_j|: items worker j labelled
+    max_labels_per_item: int = field(init=False)
+    max_labels_per_worker: int = field(init=False)
 
     def __post_init__(self):
-        for arr in (self.items, self.workers, self.labels):
-            arr.setflags(write=False)
         if not self.num_items:
             raise ValidationError("a label matrix needs at least one item")
-        for name, bound in (("items", self.num_items), ("workers", self.num_workers),
-                            ("labels", self.num_classes)):
+        for name, ids, bound in (("items", "item_ids", self.num_items),
+                                 ("workers", "worker_ids", self.num_workers),
+                                 ("labels", "label_names", self.num_classes)):
+            names = len(getattr(self, ids))
+            if names != bound:
+                raise ValidationError(f"{ids} must hold {bound} names, found {names}")
             arr = getattr(self, name)
             if arr.size and not 0 <= arr.min() <= arr.max() < bound:
                 raise ValidationError(f"{name} must lie in [0, {bound}), "
                                       f"found {arr.min()}..{arr.max()}")
+        # counted before the freeze: np.bincount copies a read-only column
+        self.labels_per_item = np.bincount(self.items, minlength=self.num_items)
+        self.labels_per_worker = np.bincount(self.workers, minlength=self.num_workers)
+        for arr in (self.items, self.workers, self.labels,
+                    self.labels_per_item, self.labels_per_worker):
+            arr.setflags(write=False)
         if not self.labels_per_item.all():
             unlabelled = self.item_ids[int(self.labels_per_item.argmin())]
             raise ValidationError(f"item {unlabelled!r} has no label")
+        self.max_labels_per_item = int(self.labels_per_item.max())
+        self.max_labels_per_worker = int(self.labels_per_worker.max())
 
     @property
     def num_labels(self) -> int:
         return self.items.size
-
-    @cached_property
-    def labels_per_item(self) -> np.ndarray:
-        """|W_i|: number of workers who labelled each item."""
-        counts = np.bincount(self.items, minlength=self.num_items)
-        counts.setflags(write=False)
-        return counts
-
-    @cached_property
-    def labels_per_worker(self) -> np.ndarray:
-        """|N_j|: number of items each worker labelled."""
-        counts = np.bincount(self.workers, minlength=self.num_workers)
-        counts.setflags(write=False)
-        return counts
-
-    @cached_property
-    def max_labels_per_item(self) -> int:
-        """The largest |W_i|."""
-        return int(self.labels_per_item.max())
-
-    @cached_property
-    def max_labels_per_worker(self) -> int:
-        """The largest |N_j|."""
-        return int(self.labels_per_worker.max())
 
     @cached_property
     def item_index(self) -> dict[str, int]:

@@ -37,7 +37,7 @@ from crowdbwa.bwa import (
     run_em_binary,
     worker_accuracy,
 )
-from crowdbwa.dataset import LabelMatrix, ValidationError, binary_view
+from crowdbwa.dataset import LabelMatrix, ValidationError, binary_view, vote_counts
 from crowdbwa.synthetic import SynthSpec, generate
 
 
@@ -296,6 +296,25 @@ class TestInitState:
         m = matrix_from([("q0", "w0", "1"), ("q1", "w0", "1"), ("q1", "w1", "1")])
         state = init_state(binary_view(m, 1), fixed_hp(15.0, 3.0))
         assert state.mu == 1.0
+
+    def test_counts_the_focal_labels_without_copying_the_index(self):
+        num_items, redundancy = 2000, 200
+        rng = np.random.default_rng(3)
+        m = LabelMatrix(np.repeat(np.arange(num_items), redundancy),
+                        np.tile(np.arange(redundancy), num_items),
+                        rng.integers(0, 2, num_items * redundancy), num_items, redundancy, 2,
+                        tuple(f"q{i}" for i in range(num_items)),
+                        tuple(f"w{j}" for j in range(redundancy)), ("0", "1"))
+        view = binary_view(m, 1)
+        tracemalloc.start()
+        try:
+            state = init_state(view, fixed_hp(15.0, 3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.z.tobytes() == (vote_counts(m)[:, 1] / redundancy).tobytes()
+        # a copy of the read-only residual index alone takes 8 * num_labels
+        assert peak < 4 * m.num_labels
 
 
 class TestESteps:
@@ -870,6 +889,30 @@ class TestSplitClassRuns:
                                                               par.mu)
         for field in ("score_matrix", "hard_labels", "worker_weights"):
             assert getattr(sequential, field).tobytes() == getattr(split, field).tobytes()
+
+    def test_concurrent_runs_share_one_fresh_matrix(self, monkeypatch, thread_starts):
+        hp = PROFILES["av15-adjusted"]
+        sequential = aggregate_multiclass(self.crowd(3), hp)
+        self.split_everything(monkeypatch)
+        m = self.crowd(3)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def run(slot):
+            start.wait()
+            results[slot] = aggregate_multiclass(m, hp)
+
+        callers = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
+        # two callers, each with its one helper
+        assert len(thread_starts) == 4
+        for result in results:
+            for seq, par in zip(sequential.per_class, result.per_class, strict=True):
+                for field in self.FIELDS:
+                    assert getattr(seq, field).tobytes() == getattr(par, field).tobytes(), field
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts):
         self.split_everything(monkeypatch, cpus=1)

@@ -627,6 +627,75 @@ class TestIndicesInRange:
         assert m.labels_per_worker.tolist() == [1, 1]
 
 
+class TestIdTableLengths:
+    """Each id table holds one name per index."""
+
+    @pytest.mark.parametrize("table, names, expected", [
+        ("item_ids", ("q0",), 2), ("worker_ids", ("w0", "w1"), 1),
+        ("label_names", ("0", "1", "2"), 2)])
+    def test_length_differs_from_count(self, table, names, expected):
+        tables = {"item_ids": ("q0", "q1"), "worker_ids": ("w0",), "label_names": ("0", "1")}
+        tables[table] = names
+        with pytest.raises(ValidationError,
+                           match=rf"^{table} must hold {expected} names, found {len(names)}$"):
+            LabelMatrix(np.array([0, 1]), np.array([0, 0]), np.array([0, 1]), 2, 1, 2,
+                        **tables)
+
+    def test_short_item_ids_with_an_unlabelled_item(self):
+        with pytest.raises(ValidationError, match=r"^item_ids must hold 2 names, found 1$"):
+            LabelMatrix(np.array([0]), np.array([0]), np.array([0]), 2, 1, 2,
+                        ("q0",), ("w0",), ("0", "1"))
+
+
+class TestCountsAtConstruction:
+    """The per-item and per-worker counts and their maxima are fields,
+    taken once, when the matrix is built."""
+
+    @staticmethod
+    def columns(num_labels, num_items, num_workers, seed=0):
+        rng = np.random.default_rng(seed)
+        return (np.arange(num_labels) % num_items, rng.integers(0, num_workers, num_labels),
+                rng.integers(0, 2, num_labels), num_items, num_workers, 2,
+                tuple(f"q{i}" for i in range(num_items)),
+                tuple(f"w{j}" for j in range(num_workers)), ("0", "1"))
+
+    def build(self, *args):
+        return LabelMatrix(*self.columns(*args))
+
+    def test_fields_after_construction(self):
+        m = self.build(1000, 300, 50)
+        assert {"labels_per_item", "labels_per_worker", "max_labels_per_item",
+                "max_labels_per_worker"} <= vars(m).keys()
+        for counts, column, n in ((m.labels_per_item, m.items, m.num_items),
+                                  (m.labels_per_worker, m.workers, m.num_workers)):
+            assert not counts.flags.writeable
+            assert np.array_equal(counts, np.bincount(column, minlength=n))
+        assert m.max_labels_per_item == np.bincount(m.items).max()
+        assert m.max_labels_per_worker == np.bincount(m.workers).max()
+
+    def test_counting_copies_no_column(self):
+        num_labels = 500_000
+        columns = self.columns(num_labels, 20_000, 2_000)
+        tracemalloc.start()
+        try:
+            m = LabelMatrix(*columns)
+            # read them too: a count taken lazily would bincount a frozen column
+            m.labels_per_item, m.labels_per_worker
+            m.max_labels_per_item, m.max_labels_per_worker
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.max_labels_per_item == 25
+        # a copy of either column alone takes 8 * num_labels
+        assert peak < 4 * num_labels
+
+    def test_replace_counts_afresh(self):
+        m = self.build(100, 10, 5)
+        wider = dataclasses.replace(m, num_workers=7, worker_ids=m.worker_ids + ("w5", "w6"))
+        assert wider.labels_per_worker.tolist() == m.labels_per_worker.tolist() + [0, 0]
+        assert wider.max_labels_per_worker == m.max_labels_per_worker
+
+
 class TestVoteCounts:
     def test_basic_counts(self):
         m = LabelMatrix.from_triples(
