@@ -8,11 +8,13 @@ confusion cell.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bwa import _two_threads
 from .dataset import LabelMatrix, vote_counts
 
 
@@ -76,6 +78,17 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     priors; ``objective_trace`` logs the corresponding smoothed log
     posterior, which is non-decreasing, and ``delta_trace`` the max
     posterior change the stopping rule reads. Deterministic throughout.
+
+    A crowd large enough for ``aggregate_multiclass`` to split its class
+    runs splits each EM step instead, into two halves of the label rows:
+    for the M-step, halves that share no worker, and for the E-step,
+    halves that share no item. The calling thread computes one half and
+    one helper thread the other, whose exceptions re-raise here. Each
+    half writes only its own workers' confusion rows or its own items'
+    posteriors, and ``np.bincount`` adds each group's summands in label
+    row order either way, so every output is bit for bit the same as an
+    unsplit fit's. Every sum across workers or items stays with the
+    caller, over the whole array.
     """
     if matrix.num_classes < 2:
         raise ValueError("Dawid-Skene needs at least 2 classes")
@@ -87,49 +100,66 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     # length N, and every reduction over classes is elementwise across rows.
     counts = vote_counts(matrix).T.astype(np.float64, order="C")
     posteriors = counts / matrix.labels_per_item
+    new_posteriors = np.empty_like(posteriors)
 
     cell = workers * k + labels  # (worker, observed class) confusion row
     cell_count = np.bincount(cell, minlength=w * k).astype(np.float64)
-    expected = np.empty((k, w * k))  # expected label counts per true class
+    # Parts are (first group, stop group, group index rebased to 0, the other
+    # index), grouped by confusion row for the M-step and by item for the E-step.
+    if _two_threads(matrix):
+        # imported here, as in aggregate_multiclass
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = ThreadPoolExecutor(max_workers=1)
+        m_parts = [(start * k, stop * k, cell[rows] - start * k, items[rows])
+                   for start, stop, rows in _halves(workers, matrix.labels_per_worker)]
+        e_parts = [(start, stop, items[rows] - start, cell[rows])
+                   for start, stop, rows in _halves(items, matrix.labels_per_item)]
+        del cell
+    else:
+        threads = contextlib.nullcontext()
+        # np.bincount would copy the read-only items on every call
+        m_parts, e_parts = [(0, w * k, cell, items)], [(0, n, items.copy(), cell)]
+
+    expected = np.zeros((k, w * k))  # expected label counts per true class
     log_odds = np.zeros((k, n))  # against class 0, whose row stays 0
+    log_normaliser = np.empty(n)  # per item, log of the softmax's denominator
     trace, deltas = [], []
     converged = False
-    for iterations in range(1, params.max_iters + 1):
-        # M-step: smoothed priors and confusion[true, worker, observed]. Each
-        # item's posteriors sum to 1, so class 0's expected counts are the
-        # cell counts less the other classes'.
-        priors = (posteriors.sum(axis=1) + s) / (n + k * s)
-        for c in range(1, k):
-            expected[c] = np.bincount(cell, posteriors[c][items], w * k)
-        np.subtract(cell_count, expected[1:].sum(axis=0), out=expected[0])
-        # the subtraction can leave -2e-15 where a count is 0; tiny smoothing
-        # would not cover that before the log
-        np.maximum(expected[0], 0.0, out=expected[0])
-        confusion = expected.reshape(k, w, k) + s
-        confusion /= confusion.sum(axis=2, keepdims=True)
-        log_confusion = np.log(confusion).reshape(k, w * k)
-        log_priors = np.log(priors)
+    with threads as helper:
+        for iterations in range(1, params.max_iters + 1):
+            # M-step: smoothed priors and confusion[true, worker, observed].
+            # Each item's posteriors sum to 1, so class 0's expected counts
+            # are the cell counts less the other classes'.
+            priors = (posteriors.sum(axis=1) + s) / (n + k * s)
+            _on_parts(helper, _m_part, m_parts, posteriors, expected)
+            np.subtract(cell_count, expected[1:].sum(axis=0), out=expected[0])
+            # the subtraction can leave -2e-15 where a count is 0; tiny
+            # smoothing would not cover that before the log
+            np.maximum(expected[0], 0.0, out=expected[0])
+            confusion = expected.reshape(k, w, k) + s
+            confusion /= confusion.sum(axis=2, keepdims=True)
+            log_confusion = np.log(confusion).reshape(k, w * k)
+            log_priors = np.log(priors)
 
-        # E-step: the softmax needs only each class's log odds against class 0.
-        for c in range(1, k):
-            log_odds[c] = (log_priors[c] - log_priors[0]) + np.bincount(
-                items, (log_confusion[c] - log_confusion[0])[cell], n)
-        shift = log_odds.max(axis=0)
-        new_posteriors = np.exp(log_odds - shift)
-        total = new_posteriors.sum(axis=0)
-        new_posteriors /= total
+            # E-step: the softmax needs only each class's log odds against
+            # class 0.
+            part_deltas = _on_parts(
+                helper, _e_part, e_parts, log_priors - log_priors[0],
+                log_confusion - log_confusion[0], posteriors, new_posteriors, log_odds,
+                log_normaliser)
 
-        # Class 0's log likelihood, summed over items, adds back to the odds.
-        log_marginal = (n * float(log_priors[0]) + float(cell_count @ log_confusion[0])
-                        + float((shift + np.log(total)).sum()))
-        trace.append(log_marginal + s * float(log_confusion.sum() + log_priors.sum()))
+            # Class 0's log likelihood, summed over items, adds back to the odds.
+            log_marginal = (n * float(log_priors[0]) + float(cell_count @ log_confusion[0])
+                            + float(log_normaliser.sum()))
+            trace.append(log_marginal + s * float(log_confusion.sum() + log_priors.sum()))
 
-        delta = float(np.abs(new_posteriors - posteriors).max())
-        deltas.append(delta)
-        posteriors = new_posteriors
-        if delta <= params.tolerance:
-            converged = True
-            break
+            delta = float(np.max(part_deltas))
+            deltas.append(delta)
+            posteriors, new_posteriors = new_posteriors, posteriors
+            if delta <= params.tolerance:
+                converged = True
+                break
 
     return DawidSkeneResult(
         hard_labels=np.argmax(posteriors, axis=0).astype(np.int64),
@@ -141,3 +171,51 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
         iterations=iterations,
         delta_trace=np.array(deltas),
     )
+
+
+def _halves(groups: np.ndarray, labels_per_group: np.ndarray):
+    """Split the label rows into groups ``[0, cut)`` and ``[cut, G)``, where
+    the first part holds the most groups whose labels are at most half, and
+    keep each part's rows in order. Yields ``(start, stop, rows)`` for each
+    part with a label."""
+    cut = int(np.searchsorted(np.cumsum(labels_per_group), groups.size / 2, side="right"))
+    below = groups < cut
+    for start, stop, rows in ((0, cut, np.flatnonzero(below)),
+                              (cut, labels_per_group.size, np.flatnonzero(~below))):
+        if rows.size:
+            yield start, stop, rows
+
+
+def _on_parts(helper, step, parts, *args) -> list:
+    """``step(part, *args)`` for every part, the second on ``helper``."""
+    if len(parts) == 1:
+        return [step(parts[0], *args)]
+    pending = helper.submit(step, parts[1], *args)
+    return [step(parts[0], *args), pending.result()]
+
+
+def _m_part(part, posteriors, expected) -> None:
+    """The expected counts of one part's confusion rows, for classes 1+."""
+    start, stop, cells, items = part
+    for c in range(1, len(expected)):
+        expected[c, start:stop] = np.bincount(cells, posteriors[c][items], stop - start)
+
+
+def _e_part(part, log_prior_odds, log_confusion_odds, posteriors, new_posteriors,
+            log_odds, log_normaliser) -> float:
+    """One part's items: their log odds, new posteriors and log normalisers.
+    Returns their largest posterior change."""
+    start, stop, items, cells = part
+    for c in range(1, len(log_odds)):
+        log_odds[c, start:stop] = log_prior_odds[c] + np.bincount(
+            items, log_confusion_odds[c][cells], stop - start)
+    odds = log_odds[:, start:stop]
+    shift = odds.max(axis=0)
+    new = new_posteriors[:, start:stop]
+    np.exp(odds - shift, out=new)
+    # class after class, as numpy sums axis 0 of two or more items; it would
+    # sum a lone item's classes pairwise, and round differently
+    total = sum(new[1:], new[0])
+    new /= total
+    np.add(shift, np.log(total), out=log_normaliser[start:stop])
+    return float(np.abs(new - posteriors[:, start:stop]).max())

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import BinaryView, LabelMatrix, binary_view, vote_counts
+from .dataset import BinaryView, LabelMatrix, _count, binary_view, vote_counts
 
 #: Denominator floor for the relative convergence test, which is
 #: otherwise undefined at z_prev = 0.
@@ -364,9 +364,7 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     """
     _check_resolved(hp)
     m = view.matrix
-    # np.add.at, unlike np.bincount, reads the read-only index in place
-    counts = np.zeros(2 * m.num_items, dtype=np.int64)
-    np.add.at(counts, view.residual_index, 1)
+    counts = _count(view.residual_index, 2 * m.num_items)
     z = counts[m.num_items:] / m.labels_per_item
     mu = _exact_total(z) / m.num_items
     sse, eqv = _expectation(z, view, hp)
@@ -459,9 +457,9 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     )
 
 
-#: From this many labels up, ``aggregate_multiclass`` splits the class runs
-#: over two threads; below it the hand-off and the interpreter lock cost
-#: more than the split saves.
+#: From this many labels up, ``aggregate_multiclass`` and
+#: ``baselines.dawid_skene`` split their work over two threads; below it
+#: the hand-off and the interpreter lock cost more than the split saves.
 _SPLIT_MIN_LABELS = 1 << 17
 
 
@@ -469,6 +467,11 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _two_threads(matrix: LabelMatrix) -> bool:
+    """Whether an aggregator splits its work on ``matrix`` over two threads."""
+    return matrix.num_labels >= _SPLIT_MIN_LABELS and _usable_cpus() >= 2
 
 
 def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassResult:
@@ -496,7 +499,7 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
         raise ValueError("multi-class aggregation needs at least 2 classes")
     hp = resolve(hp, matrix)
     classes = range(matrix.num_classes)
-    if matrix.num_labels < _SPLIT_MIN_LABELS or _usable_cpus() < 2:
+    if not _two_threads(matrix):
         per_class = tuple(run_em_binary(binary_view(matrix, k), hp) for k in classes)
     else:
         # imported here, since it pulls in logging: start-up time that

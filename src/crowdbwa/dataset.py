@@ -85,9 +85,8 @@ class LabelMatrix:
             if arr.size and not 0 <= arr.min() <= arr.max() < bound:
                 raise ValidationError(f"{name} must lie in [0, {bound}), "
                                       f"found {arr.min()}..{arr.max()}")
-        # counted before the freeze: np.bincount copies a read-only column
-        self.labels_per_item = np.bincount(self.items, minlength=self.num_items)
-        self.labels_per_worker = np.bincount(self.workers, minlength=self.num_workers)
+        self.labels_per_item = _count(self.items, self.num_items)
+        self.labels_per_worker = _count(self.workers, self.num_workers)
         for arr in (self.items, self.workers, self.labels,
                     self.labels_per_item, self.labels_per_worker):
             arr.setflags(write=False)
@@ -148,6 +147,15 @@ class LabelMatrix:
             raise ValidationError("expected a non-empty list of (item, worker, label) triples")
         columns = [_codes([r[c] for r in records]) for c in range(3)]
         return _build(columns, num_classes, item_ids, worker_ids)
+
+
+def _count(index: np.ndarray, n: int) -> np.ndarray:
+    """How often each of ``0..n-1`` occurs in ``index``: ``np.bincount``'s
+    counts, but ``np.add.at`` reads a read-only ``index`` in place where
+    ``np.bincount`` would copy it."""
+    counts = np.zeros(n, dtype=np.int64)
+    np.add.at(counts, index, 1)
+    return counts
 
 
 def _build(columns, num_classes=None, item_ids=None, worker_ids=None,

@@ -5,11 +5,13 @@ re-implementation of the same smoothed EM updates, and against the
 earlier row-major vectorisation it replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from crowdbwa import baselines, bwa
 from crowdbwa.baselines import DawidSkeneResult, DsParams, dawid_skene, majority_vote
 from crowdbwa.dataset import LabelMatrix, vote_counts
 from crowdbwa.synthetic import SynthSpec, generate
@@ -336,3 +338,96 @@ class TestDeltaTrace:
             before = dawid_skene(m, DsParams(max_iters=t)).posteriors
             after = dawid_skene(m, DsParams(max_iters=t + 1)).posteriors
             assert full.delta_trace[t] == np.abs(after - before).max()
+
+
+class TestSplitFit:
+    """A crowd of ``_SPLIT_MIN_LABELS`` labels or more, with two usable
+    CPUs, runs half of every EM step on one helper thread, bit for bit as
+    the unsplit fit."""
+
+    FIELDS = ("hard_labels", "posteriors", "class_priors", "confusion", "objective_trace",
+              "delta_trace")
+
+    @staticmethod
+    def with_idle_workers(m):
+        # every odd worker, the last included, has no label
+        return dataclasses.replace(
+            m, workers=m.workers * 2, num_workers=2 * m.num_workers,
+            worker_ids=tuple(f"w{j}" for j in range(2 * m.num_workers)))
+
+    @staticmethod
+    def split_everything(monkeypatch, cpus=2):
+        monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(bwa, "_usable_cpus", lambda: cpus)
+
+    @staticmethod
+    def small_crowd():
+        return generate(SynthSpec(num_items=100, num_workers=10, num_classes=2, redundancy=3,
+                                  seed=1))[0]
+
+    def assert_same_fit(self, monkeypatch, thread_starts, m, params=DsParams()):
+        sequential = dawid_skene(m, params)
+        assert thread_starts == []
+        self.split_everything(monkeypatch)
+        split = dawid_skene(m, params)
+        assert len(thread_starts) == 1
+        for field in self.FIELDS:
+            assert getattr(sequential, field).tobytes() == getattr(split, field).tobytes(), field
+        assert (sequential.iterations, sequential.converged) == (split.iterations,
+                                                                  split.converged)
+        return split
+
+    @pytest.mark.parametrize("num_classes, converged", [(2, False), (3, True), (5, True)])
+    def test_split_matches_sequential(self, monkeypatch, thread_starts, num_classes,
+                                      converged):
+        m, _ = generate(SynthSpec(num_items=400, num_workers=40, num_classes=num_classes,
+                                  redundancy=5, seed=num_classes, accuracy_range=(0.4, 0.9)))
+        split = self.assert_same_fit(monkeypatch, thread_starts, self.with_idle_workers(m))
+        assert split.converged is converged
+
+    def test_one_worker_labels_everything(self, monkeypatch, thread_starts):
+        # the M-step has one part, the E-step two
+        rows = [(f"q{i}", "w1", str(i % 3)) for i in range(50)]
+        m = matrix_from(rows, worker_ids=["w0", "w1", "w2"], num_classes=3)
+        self.assert_same_fit(monkeypatch, thread_starts, m)
+
+    def test_one_item_crowd(self, monkeypatch, thread_starts):
+        # the E-step has one part, the M-step two
+        rows = [("q0", f"w{j}", str(j % 4 // 3)) for j in range(40)]
+        self.assert_same_fit(monkeypatch, thread_starts, matrix_from(rows))
+
+    def test_one_item_halves_of_many_classes(self, monkeypatch, thread_starts):
+        # numpy sums the classes of a single item pairwise; each half must
+        # still add them in the order the whole crowd does
+        rng = np.random.default_rng(3)
+        rows = [(f"q{i}", f"w{j}", str(rng.integers(12))) for i in range(2) for j in range(30)]
+        m = matrix_from(rows, num_classes=12)
+        self.assert_same_fit(monkeypatch, thread_starts, m, DsParams(max_iters=5))
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts):
+        self.split_everything(monkeypatch, cpus=1)
+        dawid_skene(self.small_crowd())
+        assert thread_starts == []
+
+    def test_crowd_below_the_gate_starts_no_thread(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(bwa, "_usable_cpus", lambda: 2)
+        m = self.small_crowd()
+        assert m.num_labels < bwa._SPLIT_MIN_LABELS
+        dawid_skene(m)
+        assert thread_starts == []
+
+    # the helper runs the second part, the caller the first
+    @pytest.mark.parametrize("failing_half", ["helper", "caller"])
+    def test_error_in_either_half_reraises(self, monkeypatch, thread_starts, failing_half):
+        self.split_everything(monkeypatch)
+        e_part = baselines._e_part
+
+        def failing(part, *args):
+            if (part[0] > 0) == (failing_half == "helper"):
+                raise FloatingPointError(f"{failing_half} half failed")
+            return e_part(part, *args)
+
+        monkeypatch.setattr(baselines, "_e_part", failing)
+        with pytest.raises(FloatingPointError, match=f"^{failing_half} half failed$"):
+            dawid_skene(self.small_crowd())
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()

@@ -841,20 +841,6 @@ class TestAggregateMulticlass:
         assert result.b_v == pytest.approx(15.0 * expected_eps, rel=1e-12)
 
 
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """Every thread started while the test runs."""
-    started = []
-    start = threading.Thread.start
-
-    def counting_start(self):
-        started.append(self)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
-    return started
-
-
 class TestSplitClassRuns:
     """A crowd of ``_SPLIT_MIN_LABELS`` labels or more, with two usable
     CPUs, runs its odd classes on one helper thread, bit for bit as the

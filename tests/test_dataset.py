@@ -689,6 +689,20 @@ class TestCountsAtConstruction:
         # a copy of either column alone takes 8 * num_labels
         assert peak < 4 * num_labels
 
+    def test_replace_copies_no_column(self):
+        # replace hands __post_init__ the frozen columns of the original
+        num_labels = 500_000
+        m = self.build(num_labels, 20_000, 2_000)
+        tracemalloc.start()
+        try:
+            copy = dataclasses.replace(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(copy.labels_per_item, m.labels_per_item)
+        assert np.array_equal(copy.labels_per_worker, m.labels_per_worker)
+        assert peak < 4 * num_labels
+
     def test_replace_counts_afresh(self):
         m = self.build(100, 10, 5)
         wider = dataclasses.replace(m, num_workers=7, worker_ids=m.worker_ids + ("w5", "w6"))
