@@ -36,13 +36,12 @@ rounding is done on the table, once per entry, not once per label.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import BinaryView, LabelMatrix, _count, binary_view, vote_counts
+from .dataset import BinaryView, LabelMatrix, _count, _usable_cpus, binary_view, vote_counts
 
 #: Denominator floor for the relative convergence test, which is
 #: otherwise undefined at z_prev = 0.
@@ -461,12 +460,6 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
 #: ``baselines.dawid_skene`` split their work over two threads; below it
 #: the hand-off and the interpreter lock cost more than the split saves.
 _SPLIT_MIN_LABELS = 1 << 17
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _two_threads(matrix: LabelMatrix) -> bool:

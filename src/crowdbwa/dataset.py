@@ -16,6 +16,8 @@ File formats (newline-delimited text, comma-separated, no quoting):
 from __future__ import annotations
 
 import codecs
+import contextlib
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -384,6 +386,21 @@ _KEY_BYTES = 32
 _WORD_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 
 
+#: From this many bytes up, in a process that may use two or more CPUs,
+#: ``_read_columns`` reads a file on two threads. Below it the thread
+#: hand-off costs more than the split saves: on 2 cores a split read
+#: broke even near 150 kB, taking 1.06x as long at 140 kB and 0.92x at
+#: 268 kB.
+_SPLIT_MIN_BYTES = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _read_columns(path, header: str, width: int):
     """Split a ``width``-field file's non-blank rows into stripped columns.
 
@@ -396,44 +413,53 @@ def _read_columns(path, header: str, width: int):
     fields and ``row`` the column length for none; the malformed row, if
     any, is a fault at that row.
 
-    Lines end at each of str.splitlines' breaks (``\r\n`` is one), and
+    Lines end at each of str.splitlines' breaks (``\\r\\n`` is one), and
     str.strip's whitespace is stripped from lines and fields. The file
     is scanned as bytes: only ASCII bytes and the UTF-8 encodings of
     the wider breaks and spaces can split or pad a field.
+
+    A file of ``_SPLIT_MIN_BYTES`` or more, in a process that may use
+    two or more CPUs, is cut just after the first ``\\n`` at or past its
+    middle. No line, field or UTF-8 sequence crosses that cut, so the
+    caller scans the first half while one helper thread scans the
+    second, and the halves join into the one-pass scan's rows; then the
+    helper factorises the first column while the caller factorises the
+    others. The helper's exceptions re-raise here.
     """
     data = Path(path).read_bytes()
     ascii_only = data.decode("utf-8-sig").isascii()  # the codec's own error if invalid
     data = data.removeprefix(codecs.BOM_UTF8)
     size = len(data)
+    nul = b"\0" in data  # looked for before the zero padding goes on
     data += bytes(_KEY_BYTES + 8)  # what key words read past the end is masked off
-    commas, (breaks, after), runs = _tokens(np.frombuffer(data, dtype=np.uint8), size,
-                                            ascii_only)
-    # Line n runs from the end of break n - 1 to the start of break n
-    starts, ends = np.concatenate(([0], after)), np.append(breaks, size)
-    if starts[-1] == size:  # no line after a final break
-        starts, ends = starts[:-1], ends[:-1]
-    starts, ends = _strip(runs, starts, ends)
-    del breaks, after
-    if not starts.size or starts[0] == ends[0]:
-        raise ValidationError(f"{path}: empty file (expected header {header!r})")
-    first_line = data[starts[0]:ends[0]].decode()
-    if first_line != header:
-        raise ParseError(f"{path}:1: bad header {first_line!r} (expected {header!r})")
-    lines = 1 + np.flatnonzero(starts[1:] < ends[1:])  # the non-blank lines after the header
-    starts, ends = starts[lines], ends[lines]
-    # Rows before ``good`` have width - 1 commas, and then all fields non-empty
-    first_comma = np.searchsorted(commas, starts)
-    good = _first(np.diff(first_comma, append=commas.size) != width - 1)
-    commas = commas[first_comma[0] if good else 0:][:good * (width - 1)]
-    commas = commas.reshape(good, width - 1).T
-    del first_comma
-    field_starts, field_ends = _strip(runs, np.concatenate((starts[None, :good], commas + 1)),
-                                      np.concatenate((commas, ends[None, :good])))
-    del commas, runs
-    good = _first((field_starts == field_ends).any(axis=0))
-    nul = b"\0" in data[:size]
-    columns = [_factorise(data, s[:good], e[:good], nul) for s, e in zip(field_starts, field_ends)]
-    del field_starts, field_ends
+    bytes_ = np.frombuffer(data, dtype=np.uint8)
+    cut = size
+    if size >= _SPLIT_MIN_BYTES and _usable_cpus() >= 2:
+        cut = data.find(b"\n", size // 2, size) + 1 or size
+    if cut < size:
+        # imported here, as in aggregate_multiclass
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = ThreadPoolExecutor(max_workers=1)
+    else:
+        threads = contextlib.nullcontext()
+    with threads as helper:
+        if helper:
+            second = helper.submit(_scan, bytes_, cut, size, ascii_only, width)
+        rows = _scan(bytes_, 0, cut, ascii_only, width, header=True)
+        if not rows.head:
+            raise ValidationError(f"{path}: empty file (expected header {header!r})")
+        if rows.head != header:
+            raise ParseError(f"{path}:1: bad header {rows.head!r} (expected {header!r})")
+        # each column's offsets are popped, so freed once it is factorised
+        if helper:
+            rows.join(second.result())
+            first = helper.submit(_factorise, data, rows.fields.pop(0), nul)
+        columns = [_factorise(data, rows.fields.pop(0), nul) for _ in range(len(rows.fields))]
+        if helper:
+            columns.insert(0, first.result())
+    lines, bad = rows.lines, rows.bad
+    good = columns[0][0].size
 
     def fail(*faults: tuple[int, str]) -> None:
         at, p = min((fault[0], p) for p, fault in enumerate([(good,), *faults]))
@@ -445,17 +471,83 @@ def _read_columns(path, header: str, width: int):
         else:
             error = ParseError
             message = (f"expected {width} non-empty comma-separated fields, "
-                       f"got {data[starts[at]:ends[at]].decode()!r}")
+                       f"got {bad.decode()!r}")
         raise error(f"{path}:{lines[at] + 1}: {message}")
 
     return columns, fail
 
 
-def _tokens(bytes_: np.ndarray, size: int, ascii_only: bool):
-    """The comma offsets of ``bytes_[:size]``; the start and end offsets
-    of its line breaks; and those of its maximal runs of whitespace
-    other than breaks."""
-    low = np.flatnonzero(bytes_[:size] <= ord(","))  # no ASCII class byte is above it
+@dataclass
+class _Rows:
+    """The rows of a run of whole lines, up to its first malformed one.
+
+    ``lines`` holds each row's line index in the run, and then the
+    malformed row's, if there is one: its stripped bytes are ``bad``.
+    ``fields`` holds per column the rows' stripped field offsets in the
+    file, as a pair of contiguous arrays: starts and ends. ``head`` is
+    the run's first line, stripped, when that line is a header.
+    """
+
+    count: int  # lines in the run
+    lines: np.ndarray
+    bad: bytes | None
+    fields: list[tuple[np.ndarray, np.ndarray]]
+    head: str
+
+    def join(self, rest: "_Rows") -> None:
+        """Append the rows of the run of lines that follows this one."""
+        if self.bad is not None:  # rows past a malformed one are never read
+            return
+        self.lines = np.concatenate((self.lines, rest.lines + self.count))
+        self.bad, mine, self.fields = rest.bad, self.fields, []
+        while mine:  # popped, so each half's pair is freed once joined
+            (starts, ends), (more_starts, more_ends) = mine.pop(0), rest.fields.pop(0)
+            self.fields.append((np.concatenate((starts, more_starts)),
+                                np.concatenate((ends, more_ends))))
+
+
+def _scan(bytes_: np.ndarray, start: int, stop: int, ascii_only: bool, width: int,
+          header: bool = False) -> _Rows:
+    """The ``width``-field rows of ``bytes_[start:stop]``, which ends at a
+    line break or at the end of the file; with ``header``, the first line
+    is a header and no row."""
+    commas, (breaks, after), runs = _tokens(bytes_, start, stop, ascii_only)
+    # Line n runs from the end of break n - 1 to the start of break n
+    starts = np.concatenate(([start], after), dtype=after.dtype)
+    ends = np.concatenate((breaks, [stop]), dtype=breaks.dtype)
+    if starts[-1] == stop:  # no line after a final break
+        starts, ends = starts[:-1], ends[:-1]
+    del breaks, after
+    count = starts.size
+    starts, ends = _strip(runs, starts, ends)
+    head = bytes_[starts[0]:ends[0]].tobytes().decode() if header and count else ""
+    skip = 1 if header else 0
+    lines = (skip + np.flatnonzero(starts[skip:] < ends[skip:])).astype(starts.dtype)
+    starts, ends = starts[lines], ends[lines]
+    # Rows before ``good`` have width - 1 commas, and then all fields non-empty
+    first_comma = np.searchsorted(commas, starts)
+    good = _first(np.diff(first_comma, append=commas.size) != width - 1)
+    commas = commas[first_comma[0] if good else 0:][:good * (width - 1)]
+    del first_comma
+    fields = [_strip(runs, commas[c - 1::width - 1] + 1 if c else starts[:good],
+                     commas[c::width - 1].copy() if c < width - 1 else ends[:good])
+              for c in range(width)]
+    del commas, runs
+    good = min(_first(field_starts == field_ends) for field_starts, field_ends in fields)
+    bad = bytes_[starts[good]:ends[good]].tobytes() if good < starts.size else None
+    return _Rows(count, lines[:good + 1], bad,
+                 [(field_starts[:good], field_ends[:good]) for field_starts, field_ends in fields],
+                 head)
+
+
+def _tokens(bytes_: np.ndarray, start: int, stop: int, ascii_only: bool):
+    """The comma offsets of ``bytes_[start:stop]``; the start and end
+    offsets of its line breaks; and those of its maximal runs of
+    whitespace other than breaks. Offsets are int32 while ``bytes_``
+    is under 2 GiB, which halves every offset array's memory."""
+    dtype = np.int32 if bytes_.size <= np.iinfo(np.int32).max else np.int64
+    low = np.flatnonzero(bytes_[start:stop] <= ord(",")).astype(dtype)  # no class byte is above
+    low += start
     cls = _ASCII_CLASS[bytes_[low]]
     commas, breaks, spaces = (low[cls == c] for c in (_COMMA, _BREAK, _SPACE))
     del low, cls
@@ -466,7 +558,7 @@ def _tokens(bytes_: np.ndarray, size: int, ascii_only: bool):
         breaks, crlf = breaks[keep], crlf[keep]
     breaks, spaces = (breaks, breaks + 1 + crlf), (spaces, spaces + 1)
     if not ascii_only:
-        breaks, spaces = _add_wide(bytes_, size, breaks, spaces)
+        breaks, spaces = _add_wide(bytes_, start, stop, breaks, spaces)
     spaces, after = spaces
     new = np.ones(spaces.size, dtype=bool)  # where a run starts
     new[1:] = spaces[1:] != after[:-1]
@@ -474,10 +566,11 @@ def _tokens(bytes_: np.ndarray, size: int, ascii_only: bool):
     return commas, breaks, runs
 
 
-def _add_wide(bytes_: np.ndarray, size: int, breaks, spaces):
+def _add_wide(bytes_: np.ndarray, start: int, stop: int, breaks, spaces):
     """``breaks`` and ``spaces``, each (starts, ends), merged with the
-    non-ASCII ones in ``bytes_[:size]``."""
-    lead = np.flatnonzero(np.isin(bytes_[:size], _WIDE_LEADS))
+    non-ASCII ones in ``bytes_[start:stop]``."""
+    lead = np.flatnonzero(np.isin(bytes_[start:stop], _WIDE_LEADS)).astype(breaks[0].dtype)
+    lead += start
     found = {_BREAK: [breaks], _SPACE: [spaces]}
     for seq, cls in _WIDE.items():
         at = lead[np.all([bytes_[lead + n] == b for n, b in enumerate(seq)], axis=0)]
@@ -503,13 +596,16 @@ def _strip(runs, starts, ends):
     return starts, ends
 
 
-def _factorise(data: bytes, starts, ends, nul: bool) -> tuple[np.ndarray, tuple[str, ...]]:
-    """First-appearance codes of the fields ``data[starts:ends]``, and the
-    distinct fields decoded. ``nul``: whether ``data`` holds a NUL byte,
-    which zero padding would confuse with a shorter field's end."""
+def _factorise(data: bytes, span, nul: bool) -> tuple[np.ndarray, tuple[str, ...]]:
+    """First-appearance codes of the fields ``data[starts:ends]``, with
+    ``span`` the offsets ``(starts, ends)``, and the distinct fields
+    decoded. ``nul``: whether ``data`` holds a NUL byte, which zero
+    padding would confuse with a shorter field's end."""
+    starts, ends = span
     if not starts.size:
         return np.empty(0, dtype=np.int64), ()
     lengths = ends - starts
+    del span, ends
     packed = np.minimum(lengths, _KEY_BYTES)
     # Element n of ``words`` holds data[n:n + 8], the first byte lowest
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
@@ -517,13 +613,17 @@ def _factorise(data: bytes, starts, ends, nul: bool) -> tuple[np.ndarray, tuple[
     for offset in range(0, int(packed.max()), 8):
         word = words[starts + offset] & _WORD_MASKS[np.clip(packed - offset, 0, 8)]
         key = word if key is None else _fold(key, word)
+    del packed, word
     long = np.flatnonzero(lengths > _KEY_BYTES)
     if long.size:
         seen: dict[bytes, int] = {}
         whole = np.zeros(starts.size, dtype=np.int64)
         whole[long] = [seen.setdefault(data[a:b], len(seen) + 1)
-                       for a, b in zip(starts[long].tolist(), ends[long].tolist())]
+                       for a, b in zip(starts[long].tolist(),
+                                       (starts[long] + lengths[long]).tolist())]
         key = _fold(key, whole)
+        del whole
+    del long
     if nul:
         key = _fold(key, lengths)
     codes, first = _first_appearance(key)
@@ -554,12 +654,14 @@ def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     del ordered
-    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    heads = np.flatnonzero(new)
+    del new
+    first = np.minimum.reduceat(order, heads)
     by_first = np.argsort(first)
     rank = np.empty(first.size, dtype=np.int64)
     rank[by_first] = np.arange(first.size)
     codes = np.empty(key.size, dtype=np.int64)
-    codes[order] = rank[np.cumsum(new) - 1]
+    codes[order] = np.repeat(rank, np.append(heads[1:], key.size) - heads)
     return codes, first[by_first]
 
 

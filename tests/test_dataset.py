@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import test_item_label_fuzz as item_label_fuzz
 import test_loader_fuzz as loader_fuzz
 
+from crowdbwa import dataset
 from crowdbwa.dataset import (
     LABELS_HEADER,
     PREDICTIONS_HEADER,
@@ -467,6 +469,163 @@ class TestItemLabelReaders:
         matrix = load_labels(write(tmp_path, "l.csv", self.INTEGER))
         with pytest.raises(ParseError, match="f.csv:1: bad header"):
             read(write(tmp_path, "f.csv", f"{other}\nq1,0\n"), matrix)
+
+
+def cut_after(first, second):
+    """``first + second`` as UTF-8, padded with spaces before the header or
+    after the last line so that a split read cuts it just after ``first``,
+    which ends with a \\n: that \\n becomes the file's middle byte."""
+    a, b = first.encode(), second.encode()
+    gap = len(a) - 2 - len(b)
+    a = b" " * -gap + a if gap < 0 else a
+    data = a + b + b" " * gap
+    assert data.find(b"\n", len(data) // 2) + 1 == len(a)
+    return data
+
+
+def read_outcome(read, path):
+    """What ``read(path)`` returns, or the exception class and message."""
+    try:
+        return read(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSplitRead:
+    """A file read as two halves, the second on a helper thread, gives
+    exactly what one pass gives: the same result, or the same error with
+    the same line number."""
+
+    @staticmethod
+    def both(monkeypatch, thread_starts, tmp_path, data, read=load_labels, threads=1):
+        """``read``'s outcome on ``data`` with the size gate just above the
+        file, which must start no thread, and just at it, which must start
+        ``threads`` threads and give the same outcome."""
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", len(data) + 1)
+        one_pass = read_outcome(read, path)
+        assert thread_starts == []
+        monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", len(data))
+        assert read_outcome(read, path) == one_pass
+        assert len(thread_starts) == threads
+        return one_pass
+
+    def test_cut_just_after_a_crlf(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\r\nq1,w1,0\r\nq2,w1,1\r\n", "q3,w2,0\r\nq1,w2,1\r\n")
+        m = self.both(monkeypatch, thread_starts, tmp_path, data)
+        assert m.item_ids == ("q1", "q2", "q3") and list(m.items) == [0, 1, 2, 0]
+
+    def test_lf_cr_pair_across_the_cut(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\nq1,w1,0\n", "\rq2,w1,1\n\rq3,w2\n")
+        assert self.both(monkeypatch, thread_starts, tmp_path, data) == (
+            ParseError, f"{tmp_path / 'f.csv'}:6: expected 3 non-empty comma-separated "
+                        "fields, got 'q3,w2'")
+
+    def test_wide_breaks_and_pad_in_the_second_half(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\nq1,w1,0\n",
+                         "q2,w1,1\u2028q3,w2,0\x85\u3000q4\u3000,w1,1\n")
+        m = self.both(monkeypatch, thread_starts, tmp_path, data)
+        assert m.item_ids == ("q1", "q2", "q3", "q4")
+
+    def test_malformed_row_in_the_first_half(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\nq1,w1,0\nq2,w1\nq3,w2,1\n", "q4,w1,0\nq5,,1\n")
+        error, message = self.both(monkeypatch, thread_starts, tmp_path, data)
+        assert error is ParseError and message.startswith(f"{tmp_path / 'f.csv'}:3: ")
+
+    def test_malformed_row_only_in_the_second_half(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\nq1,w1,0\nq2,w1,1\n", "q3,w2,1\n\nq4,,1\nq5,w1\n")
+        error, message = self.both(monkeypatch, thread_starts, tmp_path, data)
+        assert error is ParseError and message.startswith(f"{tmp_path / 'f.csv'}:6: ")
+
+    def test_repeated_pair_past_the_cut(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\nq1,w1,0\nq2,w1,1\n", "q3,w2,1\nq1,w1,1\n")
+        assert self.both(monkeypatch, thread_starts, tmp_path, data) == (
+            ValidationError, f"{tmp_path / 'f.csv'}:5: duplicate (item, worker) pair "
+                             "('q1', 'w1')")
+
+    def test_nul_byte(self, monkeypatch, thread_starts, tmp_path):
+        data = cut_after(f"{LABELS_HEADER}\nq1,w1,0\nq2,w1,1\n", "q1\x00,w1,0\nq1,w2,1\n")
+        m = self.both(monkeypatch, thread_starts, tmp_path, data)
+        assert m.item_ids == ("q1", "q2", "q1\x00") and list(m.items) == [0, 1, 2, 0]
+
+    def test_long_id_in_both_halves(self, monkeypatch, thread_starts, tmp_path):
+        x = "x" * 40
+        data = cut_after(f"{LABELS_HEADER}\n{x},w1,0\n{x}y,w1,1\n",
+                         f"{x},w2,1\n{x}y,w2,0\n{x}z,w1,0\n")
+        m = self.both(monkeypatch, thread_starts, tmp_path, data)
+        assert m.item_ids == (x, x + "y", x + "z") and list(m.items) == [0, 1, 0, 1, 2]
+
+    def test_cr_line_ends_are_read_in_one_pass(self, monkeypatch, thread_starts, tmp_path):
+        data = f"{LABELS_HEADER}\rq1,w1,0\rq2,w1,1\rq3,w2,0\r".encode()
+        m = self.both(monkeypatch, thread_starts, tmp_path, data, threads=0)
+        assert m.num_labels == 3
+
+    @pytest.mark.parametrize("read", [read_truth, read_predictions], ids=["truth", "prediction"])
+    @pytest.mark.parametrize("tail", ["q3,1\n", "q3,1\nq9,0\n"], ids=["valid", "unknown"])
+    def test_truth_and_predictions(self, monkeypatch, thread_starts, tmp_path, read, tail):
+        matrix = LabelMatrix.from_triples([(f"q{i}", "w1", str(i % 2)) for i in range(4)])
+        header = TRUTH_HEADER if read is read_truth else PREDICTIONS_HEADER
+        data = cut_after(f"{header}\nq0,0\nq1,1\n", tail)
+        self.both(monkeypatch, thread_starts, tmp_path, data, lambda path: read(path, matrix))
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch, thread_starts, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(cut_after(f"{LABELS_HEADER}\nq1,w1,0\n", "q2,w1,1\n"))
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", 0)
+        assert load_labels(path).num_labels == 2
+        assert thread_starts == []
+
+    @pytest.mark.parametrize("on", ["caller", "helper"])
+    @pytest.mark.parametrize("step", ["_scan", "_factorise"])
+    def test_error_on_either_thread_reraises(self, monkeypatch, thread_starts, tmp_path, step,
+                                             on):
+        """The caller scans the first half and factorises the later
+        columns; the helper scans the second half and factorises the
+        first column. A failure in any of them reaches the caller, and
+        the helper has stopped by then."""
+        path = tmp_path / "l.csv"
+        path.write_bytes(cut_after(f"{LABELS_HEADER}\nq1,w1,0\n", "q2,w1,1\n"))
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", 0)
+        caller, real = threading.current_thread(), getattr(dataset, step)
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is caller) == (on == "caller"):
+                raise RuntimeError(f"{step} on the {on}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataset, step, failing)
+        with pytest.raises(RuntimeError, match=f"^{step} on the {on}$"):
+            load_labels(path)
+        [helper] = thread_starts
+        assert not helper.is_alive()
+
+    def test_large_crowd_stays_below_the_one_pass_peak(self, monkeypatch, thread_starts,
+                                                         tmp_path):
+        """Read on two threads, a file shaped like the criterion-8 crowd
+        (500k rows of q<i>, w<j> and 0/1) peaks below the 82 MB of
+        tracemalloc that one pass took before the loader's memory work.
+        How far the two factorisations overlap varies, so the worst of
+        several reads counts."""
+        matrix, _ = generate(SynthSpec(num_items=100_000, num_workers=2000, num_classes=2,
+                                       redundancy=5, seed=7))
+        path = tmp_path / "l.csv"
+        save_labels(matrix, path)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+        peaks = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                loaded = load_labels(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert loaded.num_labels == 500_000
+        assert len(thread_starts) == 3
+        assert max(peaks) < 82 * 2**20
 
 
 class TestSavePredictions:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crowdbwa import dataset
 from crowdbwa.dataset import (
     PREDICTIONS_HEADER,
     TRUTH_HEADER,
@@ -167,6 +168,22 @@ def outcome(read, path, matrix):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data(), matrix=st.sampled_from(MATRICES))
 def test_reader_matches_row_reference(tmp_path, noun, data, matrix):
+    header, read = FORMATS[noun]
+    path = tmp_path / f"{noun}.csv"
+    path.write_bytes(data.draw(item_label_files(header, matrix)).encode("utf-8"))
+    expected = outcome(lambda p, m: reference_load(p, m, header, noun), path, matrix)
+    assert outcome(read, path, matrix) == expected
+
+
+@pytest.mark.parametrize("noun", sorted(FORMATS))
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), matrix=st.sampled_from(MATRICES))
+def test_split_reader_matches_row_reference(tmp_path, monkeypatch, noun, data, matrix):
+    """The same property with the reader's size gate open: every file with a
+    \\n past its middle is read as two halves, the second on a helper thread."""
+    monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     header, read = FORMATS[noun]
     path = tmp_path / f"{noun}.csv"
     path.write_bytes(data.draw(item_label_files(header, matrix)).encode("utf-8"))

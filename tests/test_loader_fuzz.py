@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from crowdbwa import dataset
 from crowdbwa.dataset import (
     LABELS_HEADER,
     LabelMatrix,
@@ -142,6 +143,24 @@ def label_files(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=label_files(), num_classes=st.sampled_from([None, None, None, 2, 3, 2001]))
 def test_load_labels_matches_row_reference(tmp_path, text, num_classes):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(reference_load_labels, path, num_classes)
+    got = outcome(load_labels, path, num_classes)
+    if isinstance(expected, LabelMatrix):
+        assert isinstance(got, LabelMatrix) and got == expected
+    else:
+        assert got == expected
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=label_files(), num_classes=st.sampled_from([None, None, None, 2, 3, 2001]))
+def test_split_read_matches_row_reference(tmp_path, monkeypatch, text, num_classes):
+    """The same property with the loader's size gate open: every file with a
+    \\n past its middle is read as two halves, the second on a helper thread."""
+    monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     path = tmp_path / "labels.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(reference_load_labels, path, num_classes)
