@@ -8,14 +8,13 @@ confusion cell.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bwa import _two_threads
-from .dataset import LabelMatrix, vote_counts
+from .dataset import LabelMatrix, _helper, _on_parts, vote_counts
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,12 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     A crowd large enough for ``aggregate_multiclass`` to split its class
     runs splits each EM step instead, into two halves of the label rows:
     for the M-step, halves that share no worker, and for the E-step,
-    halves that share no item. The calling thread computes one half and
-    one helper thread the other, whose exceptions re-raise here. Each
-    half writes only its own workers' confusion rows or its own items'
-    posteriors, and ``np.bincount`` adds each group's summands in label
-    row order either way, so every output is bit for bit the same as an
-    unsplit fit's. Every sum across workers or items stays with the
-    caller, over the whole array.
+    halves that share no item, which are each step's two parts of
+    ``_on_parts``. Each half writes only its own workers' confusion rows
+    or its own items' posteriors, and ``np.bincount`` adds each group's
+    summands in label row order either way, so every output is bit for
+    bit the same as an unsplit fit's. Every sum across workers or items
+    stays with the caller, over the whole array.
     """
     if matrix.num_classes < 2:
         raise ValueError("Dawid-Skene needs at least 2 classes")
@@ -106,18 +104,14 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     cell_count = np.bincount(cell, minlength=w * k).astype(np.float64)
     # Parts are (first group, stop group, group index rebased to 0, the other
     # index), grouped by confusion row for the M-step and by item for the E-step.
-    if _two_threads(matrix):
-        # imported here, as in aggregate_multiclass
-        from concurrent.futures import ThreadPoolExecutor
-
-        threads = ThreadPoolExecutor(max_workers=1)
+    split = _two_threads(matrix)
+    if split:
         m_parts = [(start * k, stop * k, cell[rows] - start * k, items[rows])
                    for start, stop, rows in _halves(workers, matrix.labels_per_worker)]
         e_parts = [(start, stop, items[rows] - start, cell[rows])
                    for start, stop, rows in _halves(items, matrix.labels_per_item)]
         del cell
     else:
-        threads = contextlib.nullcontext()
         # np.bincount would copy the read-only items on every call
         m_parts, e_parts = [(0, w * k, cell, items)], [(0, n, items.copy(), cell)]
 
@@ -126,7 +120,7 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     log_normaliser = np.empty(n)  # per item, log of the softmax's denominator
     trace, deltas = [], []
     converged = False
-    with threads as helper:
+    with _helper(split) as helper:
         for iterations in range(1, params.max_iters + 1):
             # M-step: smoothed priors and confusion[true, worker, observed].
             # Each item's posteriors sum to 1, so class 0's expected counts
@@ -184,14 +178,6 @@ def _halves(groups: np.ndarray, labels_per_group: np.ndarray):
                               (cut, labels_per_group.size, np.flatnonzero(~below))):
         if rows.size:
             yield start, stop, rows
-
-
-def _on_parts(helper, step, parts, *args) -> list:
-    """``step(part, *args)`` for every part, the second on ``helper``."""
-    if len(parts) == 1:
-        return [step(parts[0], *args)]
-    pending = helper.submit(step, parts[1], *args)
-    return [step(parts[0], *args), pending.result()]
 
 
 def _m_part(part, posteriors, expected) -> None:

@@ -38,10 +38,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
-from .dataset import BinaryView, LabelMatrix, _count, _usable_cpus, binary_view, vote_counts
+from .dataset import (BinaryView, LabelMatrix, _count, _helper, _on_parts, _usable_cpus,
+                      binary_view, vote_counts)
 
 #: Denominator floor for the relative convergence test, which is
 #: otherwise undefined at z_prev = 0.
@@ -474,37 +476,27 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
     resulting ``b_v`` is shared by all class runs. Ties in the argmax
     resolve to the smallest class index.
 
-    The class runs share nothing but the read-only ``matrix``. A crowd
-    of at least ``_SPLIT_MIN_LABELS`` labels, in a process that may use
-    two or more CPUs, runs classes 0, 2, 4, ... on the calling thread
-    and 1, 3, 5, ... on one helper thread, whose exceptions re-raise
-    here; anything smaller runs them one after another. Each class is
+    The class runs share nothing but the read-only ``matrix``. Classes
+    0, 2, 4, ... are the first part of ``_on_parts`` and 1, 3, 5, ... the
+    second, with a helper past ``_two_threads``' gate. Each class is
     computed by one thread from the same inputs, so the results are bit
     for bit the same either way. Memory is shaped to keep the process
-    peak where the sequential runs put it, since glibc gives each
-    thread a malloc arena that keeps its peak after the thread's
-    temporaries are freed: there is one helper, not a pool; the caller
-    builds the helper's views; and the grouped sums go through
-    ``_group_sum``, which makes no copy of the read-only indexes and
-    gathers the summands in chunks rather than one label-length array.
+    peak where the sequential runs put it: the caller builds the
+    helper's views, and the grouped sums go through ``_group_sum``,
+    which makes no copy of the read-only indexes and gathers the
+    summands in chunks rather than one label-length array.
     """
     if matrix.num_classes < 2:
         raise ValueError("multi-class aggregation needs at least 2 classes")
     hp = resolve(hp, matrix)
     classes = range(matrix.num_classes)
-    if not _two_threads(matrix):
-        per_class = tuple(run_em_binary(binary_view(matrix, k), hp) for k in classes)
-    else:
-        # imported here, since it pulls in logging: start-up time that
-        # only a crowd large enough to split pays
-        from concurrent.futures import ThreadPoolExecutor
-
-        odd_views = [binary_view(matrix, k) for k in classes[1::2]]
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            odd_runs = helper.submit(lambda: [run_em_binary(v, hp) for v in odd_views])
-            even = [run_em_binary(binary_view(matrix, k), hp) for k in classes[::2]]
-            odd = odd_runs.result()
-        per_class = tuple(even[k // 2] if k % 2 == 0 else odd[k // 2] for k in classes)
+    split = _two_threads(matrix)
+    # Each view is built on the caller as its class runs, but a helper's
+    # views are built before it starts, so that none is in its malloc arena.
+    even, odd = (map(binary_view, repeat(matrix), classes[first::2]) for first in (0, 1))
+    with _helper(split) as helper:
+        even, odd = _on_parts(helper, _fit_classes, [even, list(odd) if split else odd], hp)
+    per_class = tuple(even[k // 2] if k % 2 == 0 else odd[k // 2] for k in classes)
     scores = np.stack([r.scores for r in per_class])
     weights = np.mean([r.worker_weights for r in per_class], axis=0)
     return MultiClassResult(
@@ -515,6 +507,12 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
         epsilon=hp.b_v / hp.a_v,
         b_v=hp.b_v,
     )
+
+
+def _fit_classes(views, hp: BwaHyperParams) -> list[BinaryResult]:
+    """``run_em_binary`` on each of ``views``, whose view is freed once it
+    is fitted unless ``views`` holds it."""
+    return list(map(run_em_binary, views, repeat(hp)))
 
 
 def worker_accuracy(v) -> np.ndarray | float:

@@ -401,6 +401,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _helper(split: bool):
+    """One helper thread for ``_on_parts`` if ``split``, else ``None``.
+
+    Each call makes its own helper, so concurrent callers never queue
+    behind one another's work. There is one helper, not a pool: glibc
+    gives each thread a malloc arena that keeps its peak after the
+    thread's temporaries are freed.
+    """
+    if not split:
+        yield None
+        return
+    # imported here, since it pulls in logging: start-up time that only
+    # work large enough to split pays
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="crowdbwa-helper") as helper:
+        yield helper
+
+
+def _on_parts(helper, step, parts, *args) -> list:
+    """``step(part, *args)`` for every part, in a list in the order of ``parts``.
+
+    With a helper and two parts, the calling thread runs the first part
+    while the helper runs the second, and an exception on either thread
+    re-raises here; if both raise, the caller's does, once the helper has
+    stopped. With no helper, or only one part, the parts run one after
+    another on the calling thread and no thread starts.
+    """
+    if helper is None or len(parts) == 1:
+        return [step(part, *args) for part in parts]
+    pending = helper.submit(step, parts[1], *args)
+    return [step(parts[0], *args), pending.result()]
+
+
 def _read_columns(path, header: str, width: int):
     """Split a ``width``-field file's non-blank rows into stripped columns.
 
@@ -420,11 +455,10 @@ def _read_columns(path, header: str, width: int):
 
     A file of ``_SPLIT_MIN_BYTES`` or more, in a process that may use
     two or more CPUs, is cut just after the first ``\\n`` at or past its
-    middle. No line, field or UTF-8 sequence crosses that cut, so the
-    caller scans the first half while one helper thread scans the
-    second, and the halves join into the one-pass scan's rows; then the
-    helper factorises the first column while the caller factorises the
-    others. The helper's exceptions re-raise here.
+    middle. No line, field or UTF-8 sequence crosses that cut, so its
+    two halves are scanned as two parts of ``_on_parts`` and join into
+    the one-pass scan's rows; then the first column is factorised as
+    the second part and the others as the first.
     """
     data = Path(path).read_bytes()
     ascii_only = data.decode("utf-8-sig").isascii()  # the codec's own error if invalid
@@ -436,28 +470,20 @@ def _read_columns(path, header: str, width: int):
     cut = size
     if size >= _SPLIT_MIN_BYTES and _usable_cpus() >= 2:
         cut = data.find(b"\n", size // 2, size) + 1 or size
-    if cut < size:
-        # imported here, as in aggregate_multiclass
-        from concurrent.futures import ThreadPoolExecutor
-
-        threads = ThreadPoolExecutor(max_workers=1)
-    else:
-        threads = contextlib.nullcontext()
-    with threads as helper:
-        if helper:
-            second = helper.submit(_scan, bytes_, cut, size, ascii_only, width)
-        rows = _scan(bytes_, 0, cut, ascii_only, width, header=True)
+    halves = [(0, cut), (cut, size)] if cut < size else [(0, size)]
+    with _helper(cut < size) as helper:
+        rows, *rest = _on_parts(helper, _scan, halves, bytes_, ascii_only, width)
         if not rows.head:
             raise ValidationError(f"{path}: empty file (expected header {header!r})")
         if rows.head != header:
             raise ParseError(f"{path}:1: bad header {rows.head!r} (expected {header!r})")
-        # each column's offsets are popped, so freed once it is factorised
-        if helper:
-            rows.join(second.result())
-            first = helper.submit(_factorise, data, rows.fields.pop(0), nul)
-        columns = [_factorise(data, rows.fields.pop(0), nul) for _ in range(len(rows.fields))]
-        if helper:
-            columns.insert(0, first.result())
+        for more in rest:
+            rows.join(more)
+        # the item column is the second part; the step pops each column's
+        # offsets, so they are freed once that column is factorised
+        item_spans = [rows.fields.pop(0)]
+        later, first = _on_parts(helper, _factorise_all, [rows.fields, item_spans], data, nul)
+    columns = first + later
     lines, bad = rows.lines, rows.bad
     good = columns[0][0].size
 
@@ -506,11 +532,13 @@ class _Rows:
                                 np.concatenate((ends, more_ends))))
 
 
-def _scan(bytes_: np.ndarray, start: int, stop: int, ascii_only: bool, width: int,
-          header: bool = False) -> _Rows:
-    """The ``width``-field rows of ``bytes_[start:stop]``, which ends at a
-    line break or at the end of the file; with ``header``, the first line
-    is a header and no row."""
+def _scan(span, bytes_: np.ndarray, ascii_only: bool, width: int) -> _Rows:
+    """The ``width``-field rows of ``bytes_[start:stop]``, with ``span``
+    the offsets ``(start, stop)``, which end at a line break or at the end
+    of the file. A span from the file's start holds its header line,
+    which is no row."""
+    start, stop = span
+    header = start == 0
     commas, (breaks, after), runs = _tokens(bytes_, start, stop, ascii_only)
     # Line n runs from the end of break n - 1 to the start of break n
     starts = np.concatenate(([start], after), dtype=after.dtype)
@@ -594,6 +622,12 @@ def _strip(runs, starts, ends):
     at = np.minimum(np.searchsorted(run_ends, ends), run_ends.size - 1)
     ends = np.maximum(np.where(run_ends[at] == ends, run_starts[at], ends), starts)
     return starts, ends
+
+
+def _factorise_all(spans: list, data: bytes, nul: bool) -> list:
+    """``_factorise`` of each of ``spans``, popped so that each column's
+    offsets are freed once it is factorised."""
+    return [_factorise(data, spans.pop(0), nul) for _ in range(len(spans))]
 
 
 def _factorise(data: bytes, span, nul: bool) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -7,6 +7,7 @@ earlier row-major vectorisation it replaced.
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -403,6 +404,32 @@ class TestSplitFit:
         rows = [(f"q{i}", f"w{j}", str(rng.integers(12))) for i in range(2) for j in range(30)]
         m = matrix_from(rows, num_classes=12)
         self.assert_same_fit(monkeypatch, thread_starts, m, DsParams(max_iters=5))
+
+    def test_concurrent_fits_share_one_fresh_matrix(self, monkeypatch, thread_starts):
+        sequential = dawid_skene(self.small_crowd())
+        self.split_everything(monkeypatch)
+        m = self.small_crowd()
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def run(slot):
+            start.wait()
+            results[slot] = dawid_skene(m)
+
+        callers = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        # two callers, each with its one helper
+        assert len(thread_starts) == 4
+        for result in results:
+            for field in self.FIELDS:
+                expected, got = getattr(sequential, field), getattr(result, field)
+                assert expected.tobytes() == got.tobytes(), field
+            assert (sequential.iterations, sequential.converged) == (result.iterations,
+                                                                      result.converged)
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts):
         self.split_everything(monkeypatch, cpus=1)

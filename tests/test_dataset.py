@@ -627,6 +627,86 @@ class TestSplitRead:
         assert len(thread_starts) == 3
         assert max(peaks) < 82 * 2**20
 
+    def test_concurrent_reads_share_one_file(self, monkeypatch, thread_starts, tmp_path):
+        path = tmp_path / "l.csv"
+        save_labels(generate(SynthSpec(num_items=400, num_workers=40, num_classes=3,
+                                       redundancy=5, seed=3))[0], path)
+        one_pass = load_labels(path)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataset, "_SPLIT_MIN_BYTES", 0)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def run(slot):
+            start.wait()
+            results[slot] = load_labels(path)
+
+        callers = [threading.Thread(target=run, args=(slot,)) for slot in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        # two callers, each with its one helper
+        assert len(thread_starts) == 4
+        for result in results:
+            for field in dataclasses.fields(LabelMatrix):
+                a, b = getattr(one_pass, field.name), getattr(result, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, field.name
+
+
+class TestOnParts:
+    """``_on_parts`` runs the first part on the caller and the second on
+    the one helper ``_helper`` makes, or every part on the caller."""
+
+    @staticmethod
+    def record(part, log):
+        log.append((part, threading.current_thread()))
+        return part * 10
+
+    def test_no_helper_runs_the_parts_in_order_on_the_caller(self, thread_starts):
+        log = []
+        with dataset._helper(False) as helper:
+            assert helper is None
+            assert dataset._on_parts(helper, self.record, [1, 2], log) == [10, 20]
+        assert log == [(1, threading.current_thread()), (2, threading.current_thread())]
+        assert thread_starts == []
+
+    def test_second_part_runs_on_the_named_helper(self, thread_starts):
+        log = []
+        with dataset._helper(True) as helper:
+            assert dataset._on_parts(helper, self.record, [1, 2], log) == [10, 20]
+        [helper_thread] = thread_starts
+        assert dict(log) == {1: threading.current_thread(), 2: helper_thread}
+        assert helper_thread.name.startswith("crowdbwa-helper")
+        assert not helper_thread.is_alive()
+
+    def test_one_part_starts_no_thread(self, thread_starts):
+        log = []
+        with dataset._helper(True) as helper:
+            assert dataset._on_parts(helper, self.record, [1], log) == [10]
+        assert log == [(1, threading.current_thread())]
+        assert thread_starts == []
+
+    def test_callers_error_wins_once_the_helper_has_stopped(self, thread_starts):
+        helper_failed = threading.Event()
+
+        def failing(part):
+            if part == 2:
+                helper_failed.set()
+                raise RuntimeError("helper failed")
+            assert helper_failed.wait(timeout=60)
+            raise ValueError("caller failed")
+
+        with pytest.raises(ValueError, match="^caller failed$"):
+            with dataset._helper(True) as helper:
+                dataset._on_parts(helper, failing, [1, 2])
+        [helper_thread] = thread_starts
+        assert not helper_thread.is_alive()
+
 
 class TestSavePredictions:
     def test_matches_row_writer(self, tmp_path):
