@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bwa import _two_threads
+from .bwa import _group_sum, _two_threads
 from .dataset import LabelMatrix, _helper, _on_parts, vote_counts
 
 
@@ -83,7 +83,7 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
     for the M-step, halves that share no worker, and for the E-step,
     halves that share no item, which are each step's two parts of
     ``_on_parts``. Each half writes only its own workers' confusion rows
-    or its own items' posteriors, and ``np.bincount`` adds each group's
+    or its own items' posteriors, and ``_group_sum`` adds each group's
     summands in label row order either way, so every output is bit for
     bit the same as an unsplit fit's. Every sum across workers or items
     stays with the caller, over the whole array.
@@ -112,8 +112,7 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
                    for start, stop, rows in _halves(items, matrix.labels_per_item)]
         del cell
     else:
-        # np.bincount would copy the read-only items on every call
-        m_parts, e_parts = [(0, w * k, cell, items)], [(0, n, items.copy(), cell)]
+        m_parts, e_parts = [(0, w * k, cell, items)], [(0, n, items, cell)]
 
     expected = np.zeros((k, w * k))  # expected label counts per true class
     log_odds = np.zeros((k, n))  # against class 0, whose row stays 0
@@ -183,8 +182,7 @@ def _halves(groups: np.ndarray, labels_per_group: np.ndarray):
 def _m_part(part, posteriors, expected) -> None:
     """The expected counts of one part's confusion rows, for classes 1+."""
     start, stop, cells, items = part
-    for c in range(1, len(expected)):
-        expected[c, start:stop] = np.bincount(cells, posteriors[c][items], stop - start)
+    _class_sums(expected[:, start:stop], cells, posteriors, items)
 
 
 def _e_part(part, log_prior_odds, log_confusion_odds, posteriors, new_posteriors,
@@ -192,10 +190,9 @@ def _e_part(part, log_prior_odds, log_confusion_odds, posteriors, new_posteriors
     """One part's items: their log odds, new posteriors and log normalisers.
     Returns their largest posterior change."""
     start, stop, items, cells = part
-    for c in range(1, len(log_odds)):
-        log_odds[c, start:stop] = log_prior_odds[c] + np.bincount(
-            items, log_confusion_odds[c][cells], stop - start)
     odds = log_odds[:, start:stop]
+    _class_sums(odds, items, log_confusion_odds, cells)
+    odds[1:] += log_prior_odds[1:, None]
     shift = odds.max(axis=0)
     new = new_posteriors[:, start:stop]
     np.exp(odds - shift, out=new)
@@ -205,3 +202,21 @@ def _e_part(part, log_prior_odds, log_confusion_odds, posteriors, new_posteriors
     new /= total
     np.add(shift, np.log(total), out=log_normaliser[start:stop])
     return float(np.abs(new - posteriors[:, start:stop]).max())
+
+
+def _class_sums(out, groups, tables, index) -> None:
+    """Per class ``c`` from 1 up, ``out[c]`` becomes each group's sum of
+    ``tables[c][index]``, bit for bit ``np.bincount(groups, tables[c][index])``.
+
+    Classes (1, 2), (3, 4), ... are summed two at a time, as the real and
+    imaginary parts of one complex ``_group_sum`` pass; a class left over
+    takes a float pass.
+    """
+    k, n = len(tables), out.shape[1]
+    for c in range(1, k - 1, 2):
+        pair = np.empty(tables.shape[1], complex)
+        pair.real, pair.imag = tables[c], tables[c + 1]
+        sums = _group_sum(groups, pair, index, n)
+        out[c], out[c + 1] = sums.real, sums.imag
+    if k % 2 == 0:
+        out[k - 1] = _group_sum(groups, tables[k - 1], index, n)

@@ -174,11 +174,12 @@ def _exact_sums(table, used, index, groups, num_groups: int,
     and gathered per summand, which gives the same values as folding
     ``x`` itself. ``used`` marks the entries that ``index`` refers to;
     max|x| is taken over those alone, so unused entries leave the grid
-    where ``x`` puts it.
+    where ``x`` puts it. The two folds are the real and imaginary parts
+    of one complex table, so one ``_group_sum`` pass sums both.
     """
-    fold, rest = _folds(table, _grid(table, used, max_group_size), max_group_size)
-    return (_group_sum(groups, fold, index, num_groups)
-            + _group_sum(groups, rest, index, num_groups))
+    sums = _group_sum(groups, _folds(table, _grid(table, used, max_group_size),
+                                     max_group_size), index, num_groups)
+    return sums.real + sums.imag
 
 
 #: Labels ``_group_sum`` gathers at a time.
@@ -189,11 +190,15 @@ def _group_sum(groups, table, index, n: int) -> np.ndarray:
     """Per group, the sum of ``table[index]``: bit for bit
     ``np.bincount(groups, table[index], n)``, adding in the same order.
 
-    It holds only the output and one chunk of gathered summands. Unlike
-    ``np.bincount``, ``np.add.at`` reads a read-only ``groups`` in place,
-    without copying it, and every group index EM passes is read-only.
+    A complex ``table`` gives a complex sum whose real and imaginary parts
+    are each added on their own, in the same order, so each part is bit
+    for bit the float sum of that part of ``table``: one pass sums two
+    float tables. It holds only the output and one chunk of gathered
+    summands. Unlike ``np.bincount``, ``np.add.at`` reads a read-only
+    ``groups`` in place, without copying it, and every group index EM
+    passes is read-only.
     """
-    out = np.zeros(n)
+    out = np.zeros(n, table.dtype)
     for start in range(0, groups.size, _GATHER_CHUNK):
         part = slice(start, start + _GATHER_CHUNK)
         np.add.at(out, groups[part], table[index[part]])
@@ -207,18 +212,24 @@ def _grid(table, used, max_group_size: int) -> int:
     return max(math.frexp(top)[1] + max_group_size.bit_length() - 52, -1074)
 
 
-def _folds(table, exp: int, max_group_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``table`` rounded onto the grid ``2**exp``, and what that leaves
-    rounded onto the next grid down."""
-    fold = _round_to_grid(table, exp)
+def _folds(table, exp: int, max_group_size: int) -> np.ndarray:
+    """One complex array: its real part is ``table`` rounded onto the grid
+    ``2**exp``, and its imaginary part what that leaves rounded onto the
+    next grid down."""
+    folds = np.empty(table.shape, complex)
+    fold, rest = folds.real, folds.imag
+    _round_to_grid(table, exp, fold)
+    np.subtract(table, fold, out=rest)
     step = max_group_size.bit_length() - 52
-    return fold, _round_to_grid(table - fold, max(exp + step, -1074))
+    _round_to_grid(rest, max(exp + step, -1074), rest)
+    return folds
 
 
-def _round_to_grid(x, exp: int) -> np.ndarray:
-    """``x`` rounded to multiples of ``2**exp``, for ``|x| < 2**(exp + 51)``."""
+def _round_to_grid(x, exp: int, out=None) -> np.ndarray:
+    """``x`` rounded to multiples of ``2**exp``, for ``|x| < 2**(exp + 51)``,
+    into ``out`` if given."""
     shift = math.ldexp(1.5, exp + 52)
-    out = x + shift
+    out = np.add(x, shift, out=out)
     out -= shift
     return out
 
@@ -395,10 +406,11 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     m, eqv, n = view.matrix, state.eqv, view.matrix.num_items
     size = m.max_labels_per_item
     exp = _grid(eqv, m.labels_per_worker > 0, size)
-    # Per fold, each item's E[v_j] summed over its labels y = 0, then over
-    # its labels y = 1: two exact partial sums of the item's group
-    f, r = (_group_sum(view.residual_index, fold, m.workers, 2 * n)
-            for fold in _folds(eqv, exp, size))
+    # Per fold (the real and imaginary parts), each item's E[v_j] summed
+    # over its labels y = 0, then over its labels y = 1: two exact partial
+    # sums of the item's group
+    sums = _group_sum(view.residual_index, _folds(eqv, exp, size), m.workers, 2 * n)
+    f, r = sums.real, sums.imag
     den = (f[:n] + f[n:]) + (r[:n] + r[n:])
     # only labels y = 1 add to the numerator: a subset of the denominator's
     # summands on the same grid, so z carries that one grid's rounding
@@ -482,9 +494,10 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
     computed by one thread from the same inputs, so the results are bit
     for bit the same either way. Memory is shaped to keep the process
     peak where the sequential runs put it: the caller builds the
-    helper's views, and the grouped sums go through ``_group_sum``,
-    which makes no copy of the read-only indexes and gathers the
-    summands in chunks rather than one label-length array.
+    helper's views, each freed once its class is fitted, and the grouped
+    sums go through ``_group_sum``, which makes no copy of the read-only
+    indexes and gathers the summands in chunks rather than one
+    label-length array.
     """
     if matrix.num_classes < 2:
         raise ValueError("multi-class aggregation needs at least 2 classes")
@@ -494,8 +507,10 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
     # Each view is built on the caller as its class runs, but a helper's
     # views are built before it starts, so that none is in its malloc arena.
     even, odd = (map(binary_view, repeat(matrix), classes[first::2]) for first in (0, 1))
+    if split:
+        odd = _drained(list(odd))
     with _helper(split) as helper:
-        even, odd = _on_parts(helper, _fit_classes, [even, list(odd) if split else odd], hp)
+        even, odd = _on_parts(helper, _fit_classes, [even, odd], hp)
     per_class = tuple(even[k // 2] if k % 2 == 0 else odd[k // 2] for k in classes)
     scores = np.stack([r.scores for r in per_class])
     weights = np.mean([r.worker_weights for r in per_class], axis=0)
@@ -513,6 +528,14 @@ def _fit_classes(views, hp: BwaHyperParams) -> list[BinaryResult]:
     """``run_em_binary`` on each of ``views``, whose view is freed once it
     is fitted unless ``views`` holds it."""
     return list(map(run_em_binary, views, repeat(hp)))
+
+
+def _drained(items: list):
+    """Each of ``items`` in order, taken out of the list as it is yielded,
+    so the list holds none that has been handed on."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def worker_accuracy(v) -> np.ndarray | float:

@@ -458,3 +458,54 @@ class TestSplitFit:
         with pytest.raises(FloatingPointError, match=f"^{failing_half} half failed$"):
             dawid_skene(self.small_crowd())
         assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+
+
+class TestPartSums:
+    """``_m_part`` and ``_e_part`` sum classes two at a time, bit for bit as
+    one ``np.bincount`` per class, on the whole crowd and on each half."""
+
+    @staticmethod
+    def parts(m):
+        k = m.num_classes
+        cell = m.workers * k + m.labels
+        whole_m = [(0, m.num_workers * k, cell, m.items)]
+        whole_e = [(0, m.num_items, m.items, cell)]
+        halves_m = [(start * k, stop * k, cell[rows] - start * k, m.items[rows])
+                    for start, stop, rows in baselines._halves(m.workers, m.labels_per_worker)]
+        halves_e = [(start, stop, m.items[rows] - start, cell[rows])
+                    for start, stop, rows in baselines._halves(m.items, m.labels_per_item)]
+        assert len(halves_m) == len(halves_e) == 2
+        return [(whole_m, whole_e), (halves_m, halves_e)]
+
+    # K=2 leaves class 1 alone, K=3 pairs (1, 2), K=4 adds 3 alone, and so on
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_match_a_bincount_per_class(self, k):
+        m = generate(SynthSpec(num_items=300, num_workers=25, num_classes=k, redundancy=4,
+                               seed=k))[0]
+        n, w = m.num_items, m.num_workers
+        rng = np.random.default_rng(k)
+        posteriors = rng.dirichlet(np.ones(k), n).T.copy()
+        # magnitudes far apart, so a sum in another order rounds differently
+        log_confusion_odds = rng.standard_normal((k, w * k)) * 10.0 ** rng.uniform(-6, 6, w * k)
+        log_prior_odds = rng.standard_normal(k)
+        log_confusion_odds[0], log_prior_odds[0] = 0.0, 0.0
+        for m_parts, e_parts in self.parts(m):
+            expected, reference = np.zeros((k, w * k)), np.zeros((k, w * k))
+            for part in m_parts:
+                baselines._m_part(part, posteriors, expected)
+                start, stop, cells, items = part
+                for c in range(1, k):
+                    reference[c, start:stop] = np.bincount(cells, posteriors[c][items],
+                                                           stop - start)
+            assert expected[1:].tobytes() == reference[1:].tobytes()
+
+            log_odds, reference = np.zeros((k, n)), np.zeros((k, n))
+            scratch = [np.empty((k, n)), np.empty(n)]
+            for part in e_parts:
+                baselines._e_part(part, log_prior_odds, log_confusion_odds, posteriors,
+                                  scratch[0], log_odds, scratch[1])
+                start, stop, items, cells = part
+                for c in range(1, k):
+                    reference[c, start:stop] = log_prior_odds[c] + np.bincount(
+                        items, log_confusion_odds[c][cells], stop - start)
+            assert log_odds.tobytes() == reference.tobytes()

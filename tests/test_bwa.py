@@ -8,6 +8,7 @@ inline, and against majority vote where the two provably coincide.
 import math
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -621,6 +622,42 @@ class TestGroupSum:
         assert peak < 8 * n + 4 * size
 
 
+    @pytest.mark.parametrize("size", [1, 2000, 2**16 - 1, 2**16 + 1, 200_000])
+    def test_complex_parts_match_bincount_on_read_only_index(self, size):
+        rng = np.random.default_rng(size)
+        n = max(1, size // 3)
+        groups = rng.integers(0, n, size)
+        index = rng.integers(0, 5000, size)
+        for arr in (groups, index):
+            arr.setflags(write=False)
+        first, second = (rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
+                         for _ in range(2))
+        table = np.empty(5000, complex)
+        table.real, table.imag = first, second
+        got = _group_sum(groups, table, index, n)
+        assert got.dtype == complex
+        assert got.real.tobytes() == np.bincount(groups, first[index], n).tobytes()
+        assert got.imag.tobytes() == np.bincount(groups, second[index], n).tobytes()
+
+    def test_complex_holds_the_output_and_one_chunk(self):
+        size, n = 200_000, 1000
+        rng = np.random.default_rng(0)
+        groups = rng.integers(0, n, size)
+        index = rng.integers(0, 5000, size)
+        for arr in (groups, index):
+            arr.setflags(write=False)
+        table = rng.random(5000) + 1j * rng.random(5000)
+        tracemalloc.start()
+        try:
+            _group_sum(groups, table, index, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of either index takes 8 * size = 1.6 MB, and the complex
+        # summands gathered at once 16 * size
+        assert peak < 16 * n + 8 * size
+
+
 class TestGrid:
     """The grid taken from max|x| over the used entries is the one a
     masked ``max(where=...)`` gives."""
@@ -899,6 +936,23 @@ class TestSplitClassRuns:
             for seq, par in zip(sequential.per_class, result.per_class, strict=True):
                 for field in self.FIELDS:
                     assert getattr(seq, field).tobytes() == getattr(par, field).tobytes(), field
+
+    def test_each_view_is_freed_once_its_class_is_fitted(self, monkeypatch, thread_starts):
+        # the helper's views are built up front; each must still go once fitted
+        self.split_everything(monkeypatch)
+        fit, views = bwa.run_em_binary, {}
+
+        def watching(view, hp):
+            k = view.focal_class
+            if k >= 2:
+                assert views[k - 2]() is None, f"class {k - 2}'s view outlived its fit"
+            views[k] = weakref.ref(view)
+            return fit(view, hp)
+
+        monkeypatch.setattr(bwa, "run_em_binary", watching)
+        aggregate_multiclass(self.crowd(6), PROFILES["av15-adjusted"])
+        assert len(thread_starts) == 1
+        assert sorted(views) == list(range(6))
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch, thread_starts):
         self.split_everything(monkeypatch, cpus=1)

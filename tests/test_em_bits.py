@@ -10,8 +10,11 @@ changes any bit of them fails here.
 import hashlib
 
 import numpy as np
+import pytest
 from test_cli import SYNTH_K2, SYNTH_K4
 
+from crowdbwa import bwa
+from crowdbwa.baselines import dawid_skene
 from crowdbwa.bwa import PROFILES, aggregate_multiclass
 from crowdbwa.cli import main
 from crowdbwa.dataset import load_labels
@@ -63,3 +66,37 @@ def test_em_bits_pinned(tmp_path, capsys):
 
 def test_rare_class_em_bits_pinned():
     assert _em_digest(generate(spec)[0] for spec in RARE_CLASS_CROWDS) == RARE_CLASS_SHA256
+
+
+# Dawid-Skene sums its classes two at a time: K=2 has a lone class, K=3
+# one pair, K=4 a pair and a lone class, K=5 two pairs
+DS_K3 = SynthSpec(num_items=600, num_workers=30, num_classes=3, redundancy=5, seed=37,
+                  accuracy_range=(0.35, 0.9))
+DS_K5 = SynthSpec(num_items=300, num_workers=20, num_classes=5, redundancy=4, seed=41,
+                  class_prior=(0.1, 0.3, 0.2, 0.25, 0.15), accuracy_range=(0.25, 0.95))
+
+DS_BITS_SHA256 = "083ec829c4cc7c91e5233bfa7b04aaf292310ef70c8b553c725223a5c05d394a"
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_ds_bits_pinned(tmp_path, capsys, monkeypatch, split):
+    if split:
+        monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(bwa, "_usable_cpus", lambda: 2)
+    crowds = []
+    for n, synth in enumerate((SYNTH_K2, SYNTH_K4)):
+        labels = tmp_path / f"l{n}.csv"
+        assert main(["synth", *synth, "--out-labels", str(labels),
+                     "--out-truth", str(tmp_path / f"t{n}.csv")]) == 0
+        crowds.append(load_labels(labels))
+    capsys.readouterr()
+    specs = (SKEWED_K5, *RARE_CLASS_CROWDS, DS_K3, DS_K5)
+    crowds.extend(generate(spec)[0] for spec in specs)
+    digest = hashlib.sha256()
+    for matrix in crowds:
+        result = dawid_skene(matrix)
+        for field in ("hard_labels", "posteriors", "class_priors", "confusion",
+                      "objective_trace", "delta_trace"):
+            digest.update(getattr(result, field).tobytes())
+        digest.update(np.int64([result.iterations, result.converged]).tobytes())
+    assert digest.hexdigest() == DS_BITS_SHA256
