@@ -621,7 +621,6 @@ class TestGroupSum:
         # alone take 8 * size = 1.6 MB
         assert peak < 8 * n + 4 * size
 
-
     @pytest.mark.parametrize("size", [1, 2000, 2**16 - 1, 2**16 + 1, 200_000])
     def test_complex_parts_match_bincount_on_read_only_index(self, size):
         rng = np.random.default_rng(size)

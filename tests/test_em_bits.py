@@ -4,7 +4,8 @@ The sha256 pins in ``test_cli.py`` see only what reaches the output
 files: hard labels, mean worker weights and the summary. This digest
 also covers the scores, every class's objective and stopping-statistic
 traces and its iteration count, so a rewrite of the EM steps that
-changes any bit of them fails here.
+changes any bit of them fails here. A second digest does the same for
+every Dawid-Skene output.
 """
 
 import hashlib
