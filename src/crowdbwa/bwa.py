@@ -38,11 +38,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
-from .dataset import (BinaryView, LabelMatrix, _count, _helper, _on_parts, _usable_cpus,
+from .dataset import (BinaryView, LabelMatrix, _count, _helper, _on_parts, _two_threads,
                       binary_view, vote_counts)
 
 #: Denominator floor for the relative convergence test, which is
@@ -470,15 +469,11 @@ def run_em_binary(view: BinaryView, hp: BwaHyperParams) -> BinaryResult:
     )
 
 
-#: From this many labels up, ``aggregate_multiclass`` and
-#: ``baselines.dawid_skene`` split their work over two threads; below it
-#: the hand-off and the interpreter lock cost more than the split saves.
+#: From this many labels up, ``aggregate_multiclass`` fits its classes on
+#: two threads. On 2 cores a K=2 split took 1.43 times the sequential time
+#: at 30k labels and 0.85 at 100k; at ``2**15`` the small corpus files
+#: ran slower as a whole than at this gate.
 _SPLIT_MIN_LABELS = 1 << 17
-
-
-def _two_threads(matrix: LabelMatrix) -> bool:
-    """Whether an aggregator splits its work on ``matrix`` over two threads."""
-    return matrix.num_labels >= _SPLIT_MIN_LABELS and _usable_cpus() >= 2
 
 
 def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassResult:
@@ -490,27 +485,21 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
 
     The class runs share nothing but the read-only ``matrix``. Classes
     0, 2, 4, ... are the first part of ``_on_parts`` and 1, 3, 5, ... the
-    second, with a helper past ``_two_threads``' gate. Each class is
-    computed by one thread from the same inputs, so the results are bit
-    for bit the same either way. Memory is shaped to keep the process
-    peak where the sequential runs put it: the caller builds the
-    helper's views, each freed once its class is fitted, and the grouped
-    sums go through ``_group_sum``, which makes no copy of the read-only
-    indexes and gathers the summands in chunks rather than one
-    label-length array.
+    second, with a helper from ``_SPLIT_MIN_LABELS`` labels up. Each class
+    is computed by one thread from the same inputs, so the results are
+    bit for bit the same either way. Each class's view is built by the
+    thread that fits it, as its class starts, and freed once it is
+    fitted; the grouped sums go through ``_group_sum``, which makes no
+    copy of the read-only indexes and gathers the summands in chunks
+    rather than one label-length array.
     """
     if matrix.num_classes < 2:
         raise ValueError("multi-class aggregation needs at least 2 classes")
     hp = resolve(hp, matrix)
     classes = range(matrix.num_classes)
-    split = _two_threads(matrix)
-    # Each view is built on the caller as its class runs, but a helper's
-    # views are built before it starts, so that none is in its malloc arena.
-    even, odd = (map(binary_view, repeat(matrix), classes[first::2]) for first in (0, 1))
-    if split:
-        odd = _drained(list(odd))
-    with _helper(split) as helper:
-        even, odd = _on_parts(helper, _fit_classes, [even, odd], hp)
+    with _helper(_two_threads(matrix.num_labels, _SPLIT_MIN_LABELS)) as helper:
+        even, odd = _on_parts(helper, _fit_classes, [classes[0::2], classes[1::2]],
+                              matrix, hp)
     per_class = tuple(even[k // 2] if k % 2 == 0 else odd[k // 2] for k in classes)
     scores = np.stack([r.scores for r in per_class])
     weights = np.mean([r.worker_weights for r in per_class], axis=0)
@@ -524,18 +513,10 @@ def aggregate_multiclass(matrix: LabelMatrix, hp: BwaHyperParams) -> MultiClassR
     )
 
 
-def _fit_classes(views, hp: BwaHyperParams) -> list[BinaryResult]:
-    """``run_em_binary`` on each of ``views``, whose view is freed once it
-    is fitted unless ``views`` holds it."""
-    return list(map(run_em_binary, views, repeat(hp)))
-
-
-def _drained(items: list):
-    """Each of ``items`` in order, taken out of the list as it is yielded,
-    so the list holds none that has been handed on."""
-    items.reverse()
-    while items:
-        yield items.pop()
+def _fit_classes(classes, matrix: LabelMatrix, hp: BwaHyperParams) -> list[BinaryResult]:
+    """``run_em_binary`` on each of ``classes``, one after another, each on
+    its ``binary_view`` of ``matrix``, built as its class starts."""
+    return [run_em_binary(binary_view(matrix, k), hp) for k in classes]
 
 
 def worker_accuracy(v) -> np.ndarray | float:

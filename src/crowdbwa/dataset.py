@@ -401,6 +401,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _two_threads(size: int, minimum: int) -> bool:
+    """Whether work of ``size`` splits over two threads: it is at least the
+    site's gate ``minimum``, and this process may use two or more CPUs."""
+    return size >= minimum and _usable_cpus() >= 2
+
+
 @contextlib.contextmanager
 def _helper(split: bool):
     """One helper thread for ``_on_parts`` if ``split``, else ``None``.
@@ -468,7 +474,7 @@ def _read_columns(path, header: str, width: int):
     data += bytes(_KEY_BYTES + 8)  # what key words read past the end is masked off
     bytes_ = np.frombuffer(data, dtype=np.uint8)
     cut = size
-    if size >= _SPLIT_MIN_BYTES and _usable_cpus() >= 2:
+    if _two_threads(size, _SPLIT_MIN_BYTES):
         cut = data.find(b"\n", size // 2, size) + 1 or size
     halves = [(0, cut), (cut, size)] if cut < size else [(0, size)]
     with _helper(cut < size) as helper:

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from crowdbwa import baselines, bwa
+from crowdbwa import baselines, bwa, dataset
 from crowdbwa.baselines import DawidSkeneResult, DsParams, dawid_skene, majority_vote
 from crowdbwa.dataset import LabelMatrix, vote_counts
 from crowdbwa.synthetic import SynthSpec, generate
@@ -358,8 +358,8 @@ class TestSplitFit:
 
     @staticmethod
     def split_everything(monkeypatch, cpus=2):
-        monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
-        monkeypatch.setattr(bwa, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(baselines, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
 
     @staticmethod
     def small_crowd():
@@ -437,10 +437,16 @@ class TestSplitFit:
         assert thread_starts == []
 
     def test_crowd_below_the_gate_starts_no_thread(self, monkeypatch, thread_starts):
-        monkeypatch.setattr(bwa, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
         m = self.small_crowd()
-        assert m.num_labels < bwa._SPLIT_MIN_LABELS
+        assert m.num_labels < baselines._SPLIT_MIN_LABELS
         dawid_skene(m)
+        assert thread_starts == []
+
+    def test_bwa_gate_leaves_ds_unsplit(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+        dawid_skene(self.small_crowd())
         assert thread_starts == []
 
     # the helper runs the second part, the caller the first

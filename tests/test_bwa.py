@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crowdbwa import bwa
+from crowdbwa import baselines, bwa, dataset
 from crowdbwa.baselines import majority_vote
 from crowdbwa.bwa import (
     EPSILON_FLOOR,
@@ -557,6 +557,30 @@ class TestExactSums:
         self.check(np.full(groups.size, 0.1), groups, 3)
         self.check(rng.uniform(0.5, 1.0, groups.size), groups, 3)
 
+    def test_first_folds_that_cancel(self):
+        # big and -big fold onto the first grid whole, and the small summands
+        # fold onto it as 0, so each group's sum is the sum of its second
+        # folds alone: only their rounding onto the second grid keeps that
+        # sum from depending on the order
+        rng = np.random.default_rng(5)
+        big, num_groups, n = 2.0**60, 6, 20
+        groups = np.repeat(np.arange(num_groups), 5 * n)
+        x = np.concatenate([
+            np.r_[np.full(n, big), np.full(n, -big),
+                  rng.choice([-1.0, 1.0], 3 * n) * 10.0 ** rng.uniform(-8, 3, 3 * n)]
+            for _ in range(num_groups)])
+        size, every, rows = 5 * n, np.ones(x.size, dtype=bool), np.arange(x.size)
+        sums = _exact_sums(x, every, rows, groups, num_groups, size)
+        assert sums.tobytes() == _reference_exact_sums(x, groups, num_groups, size).tobytes()
+        for _ in range(5):
+            p = rng.permutation(x.size)
+            assert _exact_sums(x[p], every, rows, groups[p], num_groups, size).tobytes() == (
+                sums.tobytes())
+        # what the folds leave out is bounded against max|x|, not the sum
+        for g in range(num_groups):
+            exact = math.fsum(x[groups == g].tolist())
+            assert abs(sums[g] - exact) <= size**3 * 2.0**-102 * big
+
     def test_subnormals(self):
         rng = np.random.default_rng(11)
         tiny = np.nextafter(0.0, 1.0)
@@ -893,7 +917,7 @@ class TestSplitClassRuns:
     @staticmethod
     def split_everything(monkeypatch, cpus=2):
         monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
-        monkeypatch.setattr(bwa, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
 
     @pytest.mark.parametrize("num_classes", [2, 3, 5])
     def test_split_matches_sequential(self, monkeypatch, thread_starts, num_classes):
@@ -937,7 +961,7 @@ class TestSplitClassRuns:
                     assert getattr(seq, field).tobytes() == getattr(par, field).tobytes(), field
 
     def test_each_view_is_freed_once_its_class_is_fitted(self, monkeypatch, thread_starts):
-        # the helper's views are built up front; each must still go once fitted
+        # each thread builds its classes' views; each must go once fitted
         self.split_everything(monkeypatch)
         fit, views = bwa.run_em_binary, {}
 
@@ -959,10 +983,16 @@ class TestSplitClassRuns:
         assert thread_starts == []
 
     def test_crowd_below_the_gate_starts_no_thread(self, monkeypatch, thread_starts):
-        monkeypatch.setattr(bwa, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
         m = self.crowd(3)
         assert m.num_labels < bwa._SPLIT_MIN_LABELS
         aggregate_multiclass(m, PROFILES["av15-adjusted"])
+        assert thread_starts == []
+
+    def test_ds_gate_leaves_bwa_unsplit(self, monkeypatch, thread_starts):
+        monkeypatch.setattr(baselines, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+        aggregate_multiclass(self.crowd(3), PROFILES["av15-adjusted"])
         assert thread_starts == []
 
     def test_helper_error_reraises(self, monkeypatch, thread_starts):

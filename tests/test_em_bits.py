@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from test_cli import SYNTH_K2, SYNTH_K4
 
-from crowdbwa import bwa
+from crowdbwa import baselines, dataset
 from crowdbwa.baselines import dawid_skene
 from crowdbwa.bwa import PROFILES, aggregate_multiclass
 from crowdbwa.cli import main
@@ -80,10 +80,10 @@ DS_BITS_SHA256 = "083ec829c4cc7c91e5233bfa7b04aaf292310ef70c8b553c725223a5c05d39
 
 
 @pytest.mark.parametrize("split", [False, True])
-def test_ds_bits_pinned(tmp_path, capsys, monkeypatch, split):
+def test_ds_bits_pinned(tmp_path, capsys, monkeypatch, thread_starts, split):
     if split:
-        monkeypatch.setattr(bwa, "_SPLIT_MIN_LABELS", 0)
-        monkeypatch.setattr(bwa, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(baselines, "_SPLIT_MIN_LABELS", 0)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     crowds = []
     for n, synth in enumerate((SYNTH_K2, SYNTH_K4)):
         labels = tmp_path / f"l{n}.csv"
@@ -95,7 +95,10 @@ def test_ds_bits_pinned(tmp_path, capsys, monkeypatch, split):
     crowds.extend(generate(spec)[0] for spec in specs)
     digest = hashlib.sha256()
     for matrix in crowds:
+        started = len(thread_starts)
         result = dawid_skene(matrix)
+        # a split fit starts its one helper, on any host
+        assert len(thread_starts) - started == split
         for field in ("hard_labels", "posteriors", "class_priors", "confusion",
                       "objective_trace", "delta_trace"):
             digest.update(getattr(result, field).tobytes())
