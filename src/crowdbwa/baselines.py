@@ -150,7 +150,10 @@ def dawid_skene(matrix: LabelMatrix, params: DsParams = DsParams()) -> DawidSken
                 log_normaliser)
 
             # Class 0's log likelihood, summed over items, adds back to the odds.
-            log_marginal = (n * float(log_priors[0]) + float(cell_count @ log_confusion[0])
+            # Not a BLAS dot: OpenBLAS splits a long one over its threads,
+            # and the sum's bits would follow the thread count.
+            log_marginal = (n * float(log_priors[0])
+                            + float((cell_count * log_confusion[0]).sum())
                             + float(log_normaliser.sum()))
             trace.append(log_marginal + s * float(log_confusion.sum() + log_priors.sum()))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import replace
@@ -157,7 +158,23 @@ def _run(method: str, matrix, hp):
     return result, elapsed
 
 
+def _refuse_clashes(inputs, outputs) -> None:
+    """Raise ``ValidationError`` if an output path names the same file as
+    an input or as an earlier output: by ``os.path.samefile`` where both
+    exist, and by ``os.path.realpath`` otherwise."""
+    seen = [(path, "input") for path in inputs]
+    for path in outputs:
+        for other, role in seen:
+            if (os.path.samefile(path, other) if os.path.exists(path) and os.path.exists(other)
+                    else os.path.realpath(path) == os.path.realpath(other)):
+                raise ValidationError(f"{path}: output is the same file as the {role} {other}")
+        seen.append((path, "output"))
+
+
 def cmd_aggregate(args) -> int:
+    workers_csv, summary_json = f"{args.out}.workers.csv", f"{args.out}.summary.json"
+    _refuse_clashes([args.labels],
+                    [args.out, workers_csv, summary_json] if args.method == "bwa" else [args.out])
     matrix = load_labels(args.labels, num_classes=args.k)
     hp = _hyper_params(args) if args.method == "bwa" else None
     result, elapsed = _run(args.method, matrix, hp)
@@ -174,7 +191,7 @@ def cmd_aggregate(args) -> int:
             file=sys.stderr,
         )
     else:
-        _write_worker_diagnostics(f"{args.out}.workers.csv", matrix, result.worker_weights)
+        _write_worker_diagnostics(workers_csv, matrix, result.worker_weights)
         summary = {
             "method": "bwa",
             "a_v": hp.a_v,
@@ -186,7 +203,7 @@ def cmd_aggregate(args) -> int:
             "converged": all(r.converged for r in result.per_class),
             "final_objective": [float(r.nll_trace[-1]) for r in result.per_class],
         }
-        Path(f"{args.out}.summary.json").write_text(
+        Path(summary_json).write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"
         )
         print(
@@ -255,6 +272,8 @@ def cmd_bench(args) -> int:
         datasets.append((entry.name, label_file, truth_file))
     if not datasets:
         raise ValidationError(f"no datasets with labels and truth found under {root}")
+    if args.out:
+        _refuse_clashes([path for _, *files in datasets for path in files], [args.out])
 
     loaded = []
     for name, label_file, truth_file in datasets:
@@ -276,6 +295,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.out:
+        _refuse_clashes([args.labels, args.truth], [args.out])
     matrix = load_labels(args.labels, num_classes=args.k)
     truth = _load_truth(args.truth, matrix)
     grid = [float(v) for v in args.grid.split(",") if v.strip()]
@@ -311,6 +332,7 @@ def cmd_synth(args) -> int:
         class_prior=prior,
         accuracy_range=(args.accuracy_min, args.accuracy_max),
     )
+    _refuse_clashes([], [args.out_labels, args.out_truth])
     matrix, truth = generate(spec)
     save_labels(matrix, args.out_labels)
     save_truth(truth, matrix, args.out_truth)

@@ -707,30 +707,23 @@ def _first_appearance(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def save_labels(matrix: LabelMatrix, path) -> None:
     """Write ``matrix`` in the label file format, preserving triple order."""
-    _write_rows(path, LABELS_HEADER, _names(matrix.item_ids, matrix.items, "item id"),
-                _names(matrix.worker_ids, matrix.workers, "worker id"),
-                _names(matrix.label_names, matrix.labels, "label"))
+    _write_rows(path, LABELS_HEADER, (matrix.item_ids, matrix.items, "item id"),
+                (matrix.worker_ids, matrix.workers, "worker id"),
+                (matrix.label_names, matrix.labels, "label"))
 
 
 def save_truth(truth: tuple[np.ndarray, np.ndarray], matrix: LabelMatrix, path) -> None:
     """Write ``truth``, ``(items, labels)`` sorted by item, in the truth
     file format."""
     items, labels = truth
-    _write_rows(path, TRUTH_HEADER, _names(matrix.item_ids, items, "item id"),
-                _names(matrix.label_names, labels, "label"))
+    _write_rows(path, TRUTH_HEADER, (matrix.item_ids, items, "item id"),
+                (matrix.label_names, labels, "label"))
 
 
 def save_predictions(labels: np.ndarray, matrix: LabelMatrix, path) -> None:
     """Write one predicted class per item in the prediction file format."""
-    _check_names(matrix.item_ids, "item id")
-    _write_rows(path, PREDICTIONS_HEADER, matrix.item_ids,
-                _names(matrix.label_names, labels, "label"))
-
-
-def _names(names: Sequence[str], codes: np.ndarray, kind: str) -> list[str]:
-    """The ``names`` of ``codes``, once ``_check_names`` passes them."""
-    _check_names(names, kind)
-    return np.array(names, dtype=object)[codes].tolist()
+    _write_rows(path, PREDICTIONS_HEADER, (matrix.item_ids, None, "item id"),
+                (matrix.label_names, labels, "label"))
 
 
 def _check_names(names: Sequence[str], kind: str) -> None:
@@ -752,7 +745,24 @@ def _check_names(names: Sequence[str], kind: str) -> None:
         )
 
 
-def _write_rows(path, header: str, *columns: Sequence[str]) -> None:
-    """Write ``header`` and then the columns' fields row by row."""
+def _write_rows(path, header: str, *columns) -> None:
+    """Write ``header`` and then one row per code. Each column is
+    ``(names, codes, kind)``: the field of code c is ``names[c]``, and
+    codes of None stand for every name in order. Every column's names
+    pass ``_check_names`` before the file is opened.
+
+    Each distinct name gets its separator once, and the rows' fields
+    are interleaved into one list that is joined once.
+    """
+    fields = []
+    for n, (names, codes, kind) in enumerate(columns, 1):
+        _check_names(names, kind)
+        end = "\n" if n == len(columns) else ","
+        cells = [name + end for name in names]
+        fields.append(cells if codes is None else np.array(cells, dtype=object)[codes].tolist())
+    out = [None] * (1 + len(fields[0]) * len(fields))
+    out[0] = header + "\n"
+    for n, cells in enumerate(fields):
+        out[1 + n::len(fields)] = cells
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+        fh.write("".join(out))

@@ -207,25 +207,54 @@ def _pick_workers(u: np.ndarray, population: int) -> np.ndarray:
 
     Each row runs a partial Fisher-Yates over a virtual identity array:
     step t swaps position t with ``t + floor(u[:, t] * (population - t))``
-    and picks the value that lands at t. ``keys[:, s]`` and ``vals[:, s]``
-    record the position step s wrote and the value it wrote there; a
-    position holds its latest write, or itself if never written.
+    and picks the value that lands at t. Swaps write only to targets, so
+    a row whose targets are all distinct picks exactly its targets: no
+    step reads a target that an earlier step wrote. Only the other rows
+    walk their swaps.
     """
-    n, count = u.shape
-    keys = np.empty((n, count), dtype=np.int64)
-    vals = np.empty((n, count), dtype=np.int64)
-    picks = np.empty((n, count), dtype=np.int64)
-    for t in range(count):
-        target = t + (u[:, t] * (population - t)).astype(np.int64)
-        # the values now at the swap target and at position t
-        current = np.stack([target, np.full(n, t, dtype=np.int64)], axis=1)
-        if t:
-            hit = keys[:, None, :t] == current[:, :, None]
-            last = t - 1 - np.argmax(hit[:, :, ::-1], axis=2)
-            written = np.take_along_axis(keys, last, axis=1) == current
-            current = np.where(written, np.take_along_axis(vals, last, axis=1), current)
-        picks[:, t] = current[:, 0]
-        keys[:, t] = target
-        vals[:, t] = current[:, 1]
-    picks.sort(axis=1)
+    steps = np.arange(u.shape[1])
+    targets = (u * (population - steps)).astype(np.int64)
+    targets += steps
+    picks = np.sort(targets, axis=1)
+    rows = np.flatnonzero((picks[:, 1:] == picks[:, :-1]).any(axis=1))
+    if rows.size:
+        walked = _walk_swaps(targets[rows], population)
+        walked.sort(axis=1)
+        picks[rows] = walked
     return picks
+
+
+def _walk_swaps(targets: np.ndarray, population: int) -> np.ndarray:
+    """The partial Fisher-Yates picks of each row of swap ``targets``,
+    in step order, walked on all rows at once.
+
+    Each row's table holds the values at the positions it touches:
+    steps and targets, at most twice the step count, or the whole
+    population when that is smaller. In the first, a position's slot
+    is the first of its equal entries in the row's sorted positions.
+    """
+    rows, count = targets.shape
+    touched = np.concatenate([np.broadcast_to(np.arange(count), (rows, count)), targets], axis=1)
+    if population <= 2 * count:
+        table = np.tile(np.arange(population), rows)
+        slots = touched + np.arange(0, table.size, population)[:, None]
+    else:
+        order = np.argsort(touched, axis=1)
+        order += np.arange(0, order.size, 2 * count)[:, None]
+        order = order.ravel()
+        table = touched.ravel()[order]
+        # a walking row has two steps or more, so it runs from position 0
+        # up to a larger one, and no run of equal positions spans two rows
+        first = np.empty(table.size, dtype=bool)
+        first[0] = True
+        first[1:] = table[1:] != table[:-1]
+        slots = np.empty(table.size, dtype=np.int64)
+        slots[order] = np.maximum.accumulate(np.where(first, np.arange(table.size), 0))
+        slots = slots.reshape(rows, 2 * count)
+    step_slots = slots[:, :count].T.copy()
+    target_slots = slots[:, count:].T.copy()
+    picks = np.empty((count, rows), dtype=np.int64)
+    for t in range(count):
+        picks[t] = table[target_slots[t]]
+        table[target_slots[t]] = table[step_slots[t]]
+    return picks.T

@@ -454,6 +454,95 @@ class TestBench:
         assert err == f"error: {truth}: no truth rows after the header\n"
 
 
+def link(path, kind, name="alias.csv"):
+    """A path naming the same file as ``path``: ``path`` itself, or a
+    symlink or hard link called ``name`` beside it."""
+    if kind == "same path":
+        return path
+    other = path.with_name(name)
+    if kind == "symlink":
+        other.symlink_to(path)
+    else:
+        os.link(path, other)
+    return other
+
+
+def snapshot(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+LINKS = ("same path", "symlink", "hard link")
+
+
+class TestOutputsNeverReplaceInputs:
+    """Every command refuses an output that names one of its inputs or
+    another of its outputs, and writes nothing."""
+
+    def refused(self, capsys, tmp_path, argv, output, other, role):
+        before = snapshot(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {output}: output is the same file as the {role} {other}\n"
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("kind", LINKS)
+    @pytest.mark.parametrize("method", ["mv", "ds", "bwa"])
+    def test_aggregate_out(self, tmp_path, capsys, kind, method):
+        labels = tmp_path / "l.csv"
+        labels.write_text(FIXTURE)
+        out = link(labels, kind)
+        self.refused(capsys, tmp_path, ["aggregate", "--labels", str(labels), "--method",
+                                        method, "--out", str(out)], out, labels, "input")
+
+    @pytest.mark.parametrize("kind", LINKS)
+    @pytest.mark.parametrize("suffix", [".workers.csv", ".summary.json"])
+    def test_bwa_side_outputs(self, tmp_path, capsys, kind, suffix):
+        labels = tmp_path / ("p.csv" + suffix if kind == "same path" else "l.csv")
+        labels.write_text(FIXTURE)
+        side = link(labels, kind, "p.csv" + suffix)
+        self.refused(capsys, tmp_path, ["aggregate", "--labels", str(labels), "--method",
+                                        "bwa", "--out", str(tmp_path / "p.csv")],
+                     side, labels, "input")
+
+    @pytest.mark.parametrize("kind", LINKS)
+    def test_synth_outputs(self, tmp_path, capsys, kind):
+        labels = tmp_path / "a.csv"
+        labels.write_text("kept\n")
+        truth = link(labels, kind)
+        self.refused(capsys, tmp_path, ["synth", "--items", "5", "--workers", "3",
+                                        "--redundancy", "2", "--out-labels", str(labels),
+                                        "--out-truth", str(truth)], truth, labels, "output")
+
+    @pytest.mark.parametrize("kind", ["same path", "symlink"])
+    def test_synth_outputs_not_yet_written(self, tmp_path, capsys, kind):
+        path = tmp_path / "new.csv"
+        other = path if kind == "same path" else tmp_path / "alias.csv"
+        if kind == "symlink":
+            other.symlink_to(path)
+        self.refused(capsys, tmp_path, ["synth", "--items", "5", "--workers", "3",
+                                        "--redundancy", "2", "--out-labels", str(path),
+                                        "--out-truth", str(other)], other, path, "output")
+
+    @pytest.mark.parametrize("kind", LINKS)
+    @pytest.mark.parametrize("name", ["labels.csv", "truth.csv"])
+    def test_sweep_out(self, tmp_path, capsys, kind, name):
+        d = make_dataset(tmp_path, capsys, "ds1", 6)
+        out = link(d / name, kind)
+        self.refused(capsys, tmp_path, ["sweep", "--labels", str(d / "labels.csv"),
+                                        "--truth", str(d / "truth.csv"), "--grid", "1",
+                                        "--out", str(out)], out, d / name, "input")
+
+    @pytest.mark.parametrize("kind", LINKS)
+    @pytest.mark.parametrize("name", ["labels.csv", "truth.csv"])
+    def test_bench_out(self, tmp_path, capsys, kind, name):
+        make_dataset(tmp_path, capsys, "ds1", 1)
+        d = make_dataset(tmp_path, capsys, "ds2", 2)
+        out = link(d / name, kind)
+        self.refused(capsys, tmp_path, ["bench", "--data", str(tmp_path / "data"),
+                                        "--methods", "mv,bwa", "--out", str(out)],
+                     out, d / name, "input")
+
+
 class TestSweep:
     def test_grid_times_strategies(self, tmp_path, capsys):
         d = make_dataset(tmp_path, capsys, "ds1", 6)

@@ -9,11 +9,16 @@ every Dawid-Skene output.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_cli import SYNTH_K2, SYNTH_K4
 
+import crowdbwa
 from crowdbwa import baselines, dataset
 from crowdbwa.baselines import dawid_skene
 from crowdbwa.bwa import PROFILES, aggregate_multiclass
@@ -76,7 +81,7 @@ DS_K3 = SynthSpec(num_items=600, num_workers=30, num_classes=3, redundancy=5, se
 DS_K5 = SynthSpec(num_items=300, num_workers=20, num_classes=5, redundancy=4, seed=41,
                   class_prior=(0.1, 0.3, 0.2, 0.25, 0.15), accuracy_range=(0.25, 0.95))
 
-DS_BITS_SHA256 = "083ec829c4cc7c91e5233bfa7b04aaf292310ef70c8b553c725223a5c05d394a"
+DS_BITS_SHA256 = "f835d9f0af9df4076334621d1731ee032c4a2a4f1dc7dbec596a4b80d570b13a"
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -104,3 +109,26 @@ def test_ds_bits_pinned(tmp_path, capsys, monkeypatch, thread_starts, split):
             digest.update(getattr(result, field).tobytes())
         digest.update(np.int64([result.iterations, result.converged]).tobytes())
     assert digest.hexdigest() == DS_BITS_SHA256
+
+
+def test_ds_objective_ignores_blas_threads():
+    # w * k = 12,000 confusion cells: OpenBLAS would split a dot this long
+    # over two threads, and the sum's bits with it
+    script = (
+        "import hashlib\n"
+        "from crowdbwa.baselines import dawid_skene\n"
+        "from crowdbwa.synthetic import SynthSpec, generate\n"
+        "spec = SynthSpec(num_items=3000, num_workers=6000, num_classes=2, redundancy=3, seed=5)\n"
+        "trace = dawid_skene(generate(spec)[0]).objective_trace\n"
+        "print(hashlib.sha256(trace.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(crowdbwa.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]

@@ -7,7 +7,14 @@ from test_item_label_fuzz import truth_map
 from crowdbwa.baselines import majority_vote
 from crowdbwa.dataset import LabelMatrix, load_labels, load_truth, save_labels, save_truth
 from crowdbwa.evaluation import accuracy
-from crowdbwa.synthetic import SplitMix64, SynthSpec, draw_worker_confusions, generate
+from crowdbwa.synthetic import (
+    SplitMix64,
+    SynthSpec,
+    _pick_workers,
+    _uniforms,
+    draw_worker_confusions,
+    generate,
+)
 
 
 # The scalar generator that the array implementation replaced, kept as the
@@ -33,6 +40,40 @@ def _reference_sample_distinct(rng, population, count):
         out.append(replacements.get(idx, idx))
         replacements[idx] = replacements.get(t, t)
     return out
+
+
+# A second reference that scales to large shapes: the array walk that the
+# target sort replaced. Step t looks its two positions up among every
+# earlier step's write: keys[:, s] is the position step s wrote, vals[:, s]
+# the value, and a position holds its latest write, or itself.
+def _reference_pick_workers(u, population):
+    n, count = u.shape
+    keys = np.empty((n, count), dtype=np.int64)
+    vals = np.empty((n, count), dtype=np.int64)
+    picks = np.empty((n, count), dtype=np.int64)
+    for t in range(count):
+        target = t + (u[:, t] * (population - t)).astype(np.int64)
+        current = np.stack([target, np.full(n, t, dtype=np.int64)], axis=1)
+        if t:
+            hit = keys[:, None, :t] == current[:, :, None]
+            last = t - 1 - np.argmax(hit[:, :, ::-1], axis=2)
+            written = np.take_along_axis(keys, last, axis=1) == current
+            current = np.where(written, np.take_along_axis(vals, last, axis=1), current)
+        picks[:, t] = current[:, 0]
+        keys[:, t] = target
+        vals[:, t] = current[:, 1]
+    picks.sort(axis=1)
+    return picks
+
+
+class _Fixed(SplitMix64):
+    """Replays given uniforms."""
+
+    def __init__(self, uniforms):
+        self._uniforms = iter(uniforms)
+
+    def uniform(self):
+        return next(self._uniforms)
 
 
 def _reference_generate(spec):
@@ -303,6 +344,30 @@ class TestGenerate:
         if spec.confusion is None:
             assert np.array_equal(draw_worker_confusions(spec),
                                   _reference_confusions(spec, SplitMix64(spec.seed)))
+
+    @pytest.mark.parametrize("items, workers, redundancy", [
+        (100_000, 2000, 5),  # the criterion-8 crowd: about 1% of rows repeat a target
+        (20, 300, 300),  # redundancy = workers
+        (20, 5000, 5000),
+        (2000, 15, 10),  # fewer workers than twice the redundancy
+        (5000, 30, 12),  # just more: nearly every row walks on its compact table
+        (1000, 8, 1),
+        (1, 50, 30),
+        (1000, 10**9, 7),
+        (100_000, 20, 10),  # nearly every row repeats a target
+    ])
+    def test_picks_match_the_walk(self, items, workers, redundancy):
+        u = _uniforms(items + workers, 0, items * redundancy).reshape(items, redundancy)
+        assert np.array_equal(_pick_workers(u, workers), _reference_pick_workers(u, workers))
+
+    @pytest.mark.parametrize("workers", [6, 10, 13])
+    def test_picks_match_the_scalar_walk_at_extreme_draws(self, workers):
+        # all draws 0: every step swaps with itself; all draws at the top:
+        # every step targets the last position, a repeat from step 1 on
+        u = np.array([[0.0] * 6, [1 - 2.0**-53] * 6, [0.0, 1 - 2.0**-53] * 3])
+        want = [sorted(_reference_sample_distinct(_Fixed(row), workers, 6)) for row in u]
+        assert _pick_workers(u, workers).tolist() == want
+        assert np.array_equal(_reference_pick_workers(u, workers), want)
 
     def test_written_files_reload(self, tmp_path):
         spec = SynthSpec(num_items=30, num_workers=6, num_classes=2, redundancy=3, seed=5)
