@@ -218,7 +218,9 @@ def _pick_workers(u: np.ndarray, population: int) -> np.ndarray:
     picks = np.sort(targets, axis=1)
     rows = np.flatnonzero((picks[:, 1:] == picks[:, :-1]).any(axis=1))
     if rows.size:
-        walked = _walk_swaps(targets[rows], population)
+        walking = targets[rows]
+        del targets  # when nearly every row walks, both would be held
+        walked = _walk_swaps(walking, population)
         walked.sort(axis=1)
         picks[rows] = walked
     return picks
@@ -228,33 +230,34 @@ def _walk_swaps(targets: np.ndarray, population: int) -> np.ndarray:
     """The partial Fisher-Yates picks of each row of swap ``targets``,
     in step order, walked on all rows at once.
 
-    Each row's table holds the values at the positions it touches:
-    steps and targets, at most twice the step count, or the whole
-    population when that is smaller. In the first, a position's slot
-    is the first of its equal entries in the row's sorted positions.
+    A row's table holds the values at the positions it touches, its
+    steps and targets, sorted: 2r slots, a position's slot being the
+    first of its equal entries. A population of at most 16r is its own
+    table instead: filling that costs less than the sort, and it holds
+    at most 8 times as many entries.
     """
     rows, count = targets.shape
-    touched = np.concatenate([np.broadcast_to(np.arange(count), (rows, count)), targets], axis=1)
-    if population <= 2 * count:
+    # one row of slots per step: its position's, then its target's
+    slots = np.empty((2 * count, rows), dtype=np.int64)
+    slots[:count] = np.arange(count)[:, None]
+    slots[count:] = targets.T
+    if population <= 16 * count:
         table = np.tile(np.arange(population), rows)
-        slots = touched + np.arange(0, table.size, population)[:, None]
+        slots += np.arange(0, table.size, population)
     else:
-        order = np.argsort(touched, axis=1)
-        order += np.arange(0, order.size, 2 * count)[:, None]
-        order = order.ravel()
-        table = touched.ravel()[order]
-        # a walking row has two steps or more, so it runs from position 0
-        # up to a larger one, and no run of equal positions spans two rows
-        first = np.empty(table.size, dtype=bool)
-        first[0] = True
-        first[1:] = table[1:] != table[:-1]
-        slots = np.empty(table.size, dtype=np.int64)
-        slots[order] = np.maximum.accumulate(np.where(first, np.arange(table.size), 0))
-        slots = slots.reshape(rows, 2 * count)
-    step_slots = slots[:, :count].T.copy()
-    target_slots = slots[:, count:].T.copy()
+        # column j of the table is row j's positions, sorted
+        order = np.argsort(slots, axis=0)
+        order *= rows
+        order += np.arange(rows)
+        table = np.take(slots, order)
+        heads = np.arange(table.size).reshape(table.shape)
+        heads[1:][table[1:] == table[:-1]] = 0
+        np.maximum.accumulate(heads, axis=0, out=heads)
+        np.put(slots, order, heads)
+        del order, heads
+        table = table.ravel()
     picks = np.empty((count, rows), dtype=np.int64)
     for t in range(count):
-        picks[t] = table[target_slots[t]]
-        table[target_slots[t]] = table[step_slots[t]]
+        picks[t] = table[slots[count + t]]
+        table[slots[count + t]] = table[slots[t]]
     return picks.T

@@ -350,7 +350,8 @@ class TestGenerate:
         (20, 300, 300),  # redundancy = workers
         (20, 5000, 5000),
         (2000, 15, 10),  # fewer workers than twice the redundancy
-        (5000, 30, 12),  # just more: nearly every row walks on its compact table
+        (2000, 640, 40),  # the largest population walked on a whole table
+        (2000, 641, 40),  # one more: most rows walk on their compact tables
         (1000, 8, 1),
         (1, 50, 30),
         (1000, 10**9, 7),
