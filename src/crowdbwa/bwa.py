@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import (BinaryView, LabelMatrix, _count, _helper, _on_parts, _two_threads,
-                      binary_view, vote_counts)
+from .dataset import (BinaryView, LabelMatrix, _helper, _on_parts, _two_threads, binary_view,
+                      vote_counts)
 
 #: Denominator floor for the relative convergence test, which is
 #: otherwise undefined at z_prev = 0.
@@ -171,10 +171,10 @@ def _exact_sums(table, used, index, groups, num_groups: int,
 
     The folds are elementwise, so they are taken once per table entry
     and gathered per summand, which gives the same values as folding
-    ``x`` itself. ``used`` marks the entries that ``index`` refers to;
-    max|x| is taken over those alone, so unused entries leave the grid
-    where ``x`` puts it. The two folds are the real and imaginary parts
-    of one complex table, so one ``_group_sum`` pass sums both.
+    ``x`` itself. max|x| is taken over the entries whose ``used`` count
+    is nonzero, those ``index`` refers to, so unused entries leave the
+    grid where ``x`` puts it. The two folds are the real and imaginary
+    parts of one complex table, so one ``_group_sum`` pass sums both.
     """
     sums = _group_sum(groups, _folds(table, _grid(table, used, max_group_size),
                                      max_group_size), index, num_groups)
@@ -205,8 +205,8 @@ def _group_sum(groups, table, index, n: int) -> np.ndarray:
 
 
 def _grid(table, used, max_group_size: int) -> int:
-    """The exponent of ``_exact_sums``' first grid for ``table``'s ``used``
-    entries: ``max_group_size`` times max|x| stays below 2**53 steps."""
+    """The exponent of ``_exact_sums``' first grid for ``table``'s entries of
+    nonzero ``used``: ``max_group_size`` times max|x| stays below 2**53 steps."""
     top = float(np.where(used, np.abs(table), 0.0).max(initial=0.0))
     return max(math.frexp(top)[1] + max_group_size.bit_length() - 52, -1074)
 
@@ -344,7 +344,7 @@ def _expectation(z, view: BinaryView, hp) -> tuple[np.ndarray, np.ndarray]:
     table *= table
     m = view.matrix
     n_j = m.labels_per_worker
-    sse = _exact_sums(table.ravel(), view.residual_used, view.residual_index,
+    sse = _exact_sums(table.ravel(), view.residual_counts, view.residual_index,
                       m.workers, m.num_workers, m.max_labels_per_worker)
     # Each squared residual is <= 1, so SSE_j <= |N_j|; clamp away any
     # overshoot from the last bits the sums drop, to preserve the
@@ -375,8 +375,7 @@ def init_state(view: BinaryView, hp: BwaHyperParams) -> BwaState:
     """
     _check_resolved(hp)
     m = view.matrix
-    counts = _count(view.residual_index, 2 * m.num_items)
-    z = counts[m.num_items:] / m.labels_per_item
+    z = view.residual_counts[m.num_items:] / m.labels_per_item
     mu = _exact_total(z) / m.num_items
     sse, eqv = _expectation(z, view, hp)
     nll = _objective(z, mu, sse, view, hp)
@@ -404,7 +403,7 @@ def m_step(state: BwaState, view: BinaryView, hp: BwaHyperParams) -> BwaState:
     _check_resolved(hp)
     m, eqv, n = view.matrix, state.eqv, view.matrix.num_items
     size = m.max_labels_per_item
-    exp = _grid(eqv, m.labels_per_worker > 0, size)
+    exp = _grid(eqv, m.labels_per_worker, size)
     # Per fold (the real and imaginary parts), each item's E[v_j] summed
     # over its labels y = 0, then over its labels y = 1: two exact partial
     # sums of the item's group

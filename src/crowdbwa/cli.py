@@ -41,9 +41,18 @@ from .synthetic import SynthSpec, generate
 METHODS = ("mv", "ds", "bwa")
 DEFAULT_PROFILE = "av15-adjusted"
 
+#: The ``aggregate`` flags that only bwa reads, by their argparse dest.
+_BWA_FLAGS = {"profile": "--profile", "a_v": "--a-v", "epsilon_strategy": "--epsilon-strategy",
+              "lam": "--lambda", "tolerance": "--tolerance", "max_iters": "--max-iters"}
+
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "aggregate" and args.method != "bwa":
+        flags = [_BWA_FLAGS[dest] for dest in _given(args, *_BWA_FLAGS)]
+        if flags:
+            parser.error(f"--method {args.method} takes none of bwa's flags: {', '.join(flags)}")
     # looked up per call, so a command swapped in the module namespace runs
     handler = {"aggregate": cmd_aggregate, "bench": cmd_bench, "sweep": cmd_sweep,
                "synth": cmd_synth, "eval": cmd_eval}[args.command]
@@ -70,9 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     agg.add_argument("--k", type=int, default=None, help="override the class count")
     agg.add_argument(
         "--profile",
-        default=DEFAULT_PROFILE,
+        default=None,
         choices=sorted(PROFILES),
-        help="named hyper-parameter profile (bwa only)",
+        help=f"named hyper-parameter profile (bwa only; default {DEFAULT_PROFILE})",
     )
     agg.add_argument("--a-v", dest="a_v", type=float, default=None)
     agg.add_argument("--epsilon-strategy", choices=("original", "adjusted"), default=None)
@@ -141,7 +150,7 @@ def _given(args, *names: str) -> dict:
 
 def _hyper_params(args) -> BwaHyperParams:
     overrides = _given(args, "a_v", "epsilon_strategy", "lam", "tolerance", "max_iters")
-    return replace(PROFILES[args.profile], **overrides)
+    return replace(PROFILES[args.profile or DEFAULT_PROFILE], **overrides)
 
 
 def _run(method: str, matrix, hp):

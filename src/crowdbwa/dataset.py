@@ -50,39 +50,38 @@ class LabelMatrix:
     """Immutable sparse store of crowd labels.
 
     ``items``, ``workers`` and ``labels`` are parallel arrays, one entry
-    per collected label, kept in input order, each index below its count,
-    and ``item_ids``, ``worker_ids`` and ``label_names`` hold one name per
-    index. Each (item, worker) pair appears at most once. There is at
-    least one item and every item has a label; a worker may have none.
-    The per-item and per-worker label counts and their maxima are taken
-    once, at construction. Every array is read-only, so an instance is
-    complete once built and safe to share across concurrent aggregator
-    runs.
+    per collected label, kept in input order; ``item_ids``, ``worker_ids``
+    and ``label_names`` hold one name per index, and their lengths are the
+    sizes that bound each index. Each (item, worker) pair appears at most
+    once. There is at least one item and every item has a label; a worker
+    may have none. The sizes, the per-item and per-worker label counts and
+    their maxima are taken once, at construction. Every array is read-only,
+    so an instance is complete once built and safe to share across
+    concurrent aggregator runs.
     """
 
     items: np.ndarray
     workers: np.ndarray
     labels: np.ndarray
-    num_items: int
-    num_workers: int
-    num_classes: int
     item_ids: tuple[str, ...]
     worker_ids: tuple[str, ...]
     label_names: tuple[str, ...]
+    num_items: int = field(init=False)
+    num_workers: int = field(init=False)
+    num_classes: int = field(init=False)
     labels_per_item: np.ndarray = field(init=False)    # |W_i|: workers who labelled item i
     labels_per_worker: np.ndarray = field(init=False)  # |N_j|: items worker j labelled
     max_labels_per_item: int = field(init=False)
     max_labels_per_worker: int = field(init=False)
 
     def __post_init__(self):
+        self.num_items = len(self.item_ids)
+        self.num_workers = len(self.worker_ids)
+        self.num_classes = len(self.label_names)
         if not self.num_items:
             raise ValidationError("a label matrix needs at least one item")
-        for name, ids, bound in (("items", "item_ids", self.num_items),
-                                 ("workers", "worker_ids", self.num_workers),
-                                 ("labels", "label_names", self.num_classes)):
-            names = len(getattr(self, ids))
-            if names != bound:
-                raise ValidationError(f"{ids} must hold {bound} names, found {names}")
+        for name, bound in (("items", self.num_items), ("workers", self.num_workers),
+                            ("labels", self.num_classes)):
             arr = getattr(self, name)
             if arr.size and not 0 <= arr.min() <= arr.max() < bound:
                 raise ValidationError(f"{name} must lie in [0, {bound}), "
@@ -114,10 +113,7 @@ class LabelMatrix:
         if not isinstance(other, LabelMatrix):
             return NotImplemented
         return (
-            self.num_items == other.num_items
-            and self.num_workers == other.num_workers
-            and self.num_classes == other.num_classes
-            and self.item_ids == other.item_ids
+            self.item_ids == other.item_ids
             and self.worker_ids == other.worker_ids
             and self.label_names == other.label_names
             and np.array_equal(self.items, other.items)
@@ -161,15 +157,19 @@ def _count(index: np.ndarray, n: int) -> np.ndarray:
 
 
 def _build(columns, num_classes=None, item_ids=None, worker_ids=None,
-           check=None) -> LabelMatrix:
+           check=None, path=None) -> LabelMatrix:
     """Build a matrix from the item, worker and label columns, each given
     as int64 codes over its distinct ids in first-appearance order.
 
     ``item_ids`` and ``worker_ids``, if given, are those columns' id
-    universes in index order. ``check``, if given, gets the first row
-    whose (item, worker) pair repeats an earlier row's and the first row
-    whose integer label is beyond the int64 range (each the row count if
-    there is none), and may raise its own error first.
+    universes in index order. An integer label space may hold at most
+    ``max(64, 4 * D)`` classes, with D the number of distinct label
+    values. ``check``, if given, gets the first row whose (item, worker)
+    pair repeats an earlier row's, the first row whose integer label is
+    beyond the int64 range (each the row count if there is none), and
+    ``(row, message)`` for the first row whose label sets a class space
+    wider than that, and may raise its own error first. ``path``, if
+    given, names the file in the errors of an explicit ``num_classes``.
     """
     (i, items), (w, workers), (k, labels) = columns
     if item_ids is not None:
@@ -181,32 +181,46 @@ def _build(columns, num_classes=None, item_ids=None, worker_ids=None,
     values = list(map(_int_label, labels)) if integer else []
     huge = [c for c, v in enumerate(values) if v > _INT64_MAX]
     too_big = int(np.flatnonzero(np.isin(k, huge))[0]) if huge else k.size
+    distinct = len(set(values))
+    widest = max(64, 4 * distinct)
+    top = max(values, default=0)
+    wide = (k.size, "")
+    if num_classes is None and top >= widest:
+        row = _first(np.isin(k, [c for c, v in enumerate(values) if v == top]))
+        wide = (row, f"integer label {labels[k[row]]!r} sets {top + 1} classes, more than "
+                     f"the {widest} that {distinct} distinct labels allow")
     if check is not None:
-        check(repeat, too_big)
-    first = min(repeat, too_big)
+        check(repeat, too_big, wide)
+    first = min(repeat, too_big, wide[0])
     if first < k.size:
         raise ValidationError(
             f"duplicate label: worker {workers[w[first]]!r} labelled item "
             f"{items[i[first]]!r} twice" if first == repeat
             else f"integer label {labels[k[first]]!r} is beyond the int64 range"
+            if first == too_big else wide[1]
         )
 
+    where = "" if path is None else f"{path}: "
     if integer:
         k = np.array(values, dtype=np.int64)[k]
         inferred = int(k.max()) + 1
         if num_classes is not None and num_classes < inferred:
             raise ValidationError(
-                f"num_classes={num_classes} is below the largest label index "
+                f"{where}num_classes={num_classes} is below the largest label index "
                 f"{inferred - 1}"
+            )
+        if num_classes is not None and num_classes > widest:
+            raise ValidationError(
+                f"{where}num_classes={num_classes} is more than the {widest} classes "
+                f"that {distinct} distinct labels allow"
             )
         labels = tuple(map(str, range(num_classes or inferred)))
     elif num_classes is not None and num_classes != len(labels):
         raise ValidationError(
-            "num_classes can only extend integer label spaces; "
+            f"{where}num_classes can only extend integer label spaces; "
             f"got {num_classes} with {len(labels)} distinct label strings"
         )
-    return LabelMatrix(i, w, k, len(items), len(workers), len(labels),
-                       items, workers, labels)
+    return LabelMatrix(i, w, k, items, workers, labels)
 
 
 def _codes(column: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -235,7 +249,7 @@ class BinaryView:
     """One-versus-rest view of a label matrix for a focal class.
 
     Holds, over exactly the observed (item, worker) pairs, the read-only
-    index and mask that every iteration of the binary model reads for
+    index and counts that every iteration of the binary model reads for
     the focal class; everything else it reads from ``matrix``.
     """
 
@@ -244,7 +258,7 @@ class BinaryView:
     # Per triple, ``item + num_items * y``: the place of its squared
     # residual in a per-item table laid out as ``[z**2, (z - 1)**2]``
     residual_index: np.ndarray
-    residual_used: np.ndarray     # which entries of that table it refers to
+    residual_counts: np.ndarray   # how many triples refer to each entry of that table
 
 
 def vote_counts(matrix: LabelMatrix) -> np.ndarray:
@@ -267,28 +281,29 @@ def binary_view(matrix: LabelMatrix, focal_class: int) -> BinaryView:
         )
     focal = matrix.labels == focal_class
     residual_index = matrix.items + matrix.num_items * focal
-    residual_used = np.bincount(residual_index, minlength=2 * matrix.num_items) > 0
-    for arr in (residual_index, residual_used):
+    residual_counts = np.bincount(residual_index, minlength=2 * matrix.num_items)
+    for arr in (residual_index, residual_counts):
         arr.setflags(write=False)
-    return BinaryView(matrix, focal_class, residual_index, residual_used)
+    return BinaryView(matrix, focal_class, residual_index, residual_counts)
 
 
 def load_labels(path, num_classes: int | None = None) -> LabelMatrix:
     """Load a label file (header ``question,worker,answer``).
 
     ``num_classes`` optionally widens an integer label space, e.g. when
-    the matching truth file mentions classes no worker ever used.
+    the matching truth file mentions classes no worker ever used, up to
+    ``max(64, 4 * D)`` classes for D distinct label values.
     """
     columns, fail = _read_columns(path, LABELS_HEADER, 3)
     if not columns[0][0].size:  # no rows, or the first one is malformed
         fail()
         raise ValidationError(f"{path}: no label rows after the header")
 
-    def check(repeat: int, too_big: int) -> None:
+    def check(repeat: int, too_big: int, wide: tuple[int, str]) -> None:
         fail((repeat, "duplicate (item, worker) pair ({0!r}, {1!r})"),
-             (too_big, "integer label {2!r} is beyond the int64 range"))
+             (too_big, "integer label {2!r} is beyond the int64 range"), wide)
 
-    return _build(columns, num_classes, check=check)
+    return _build(columns, num_classes, check=check, path=path)
 
 
 def load_truth(path, matrix: LabelMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -193,7 +193,6 @@ def generate(spec: SynthSpec) -> tuple[LabelMatrix, tuple[np.ndarray, np.ndarray
     items = np.arange(n, dtype=np.int64)
     matrix = LabelMatrix(
         np.repeat(items, r), picks.ravel(), labels.ravel(),
-        n, w, k,
         tuple(f"q{i}" for i in range(n)),
         tuple(f"w{j}" for j in range(w)),
         tuple(map(str, range(k))),

@@ -373,9 +373,6 @@ def _relabel(matrix, item_perm, worker_perm):
         items=item_perm[matrix.items].copy(),
         workers=worker_perm[matrix.workers].copy(),
         labels=matrix.labels.copy(),
-        num_items=matrix.num_items,
-        num_workers=matrix.num_workers,
-        num_classes=matrix.num_classes,
         item_ids=tuple(np.array(matrix.item_ids)[np.argsort(item_perm)]),
         worker_ids=tuple(np.array(matrix.worker_ids)[np.argsort(worker_perm)]),
         label_names=matrix.label_names,
@@ -398,8 +395,7 @@ def test_criterion_6_invariant_suite():
         flipped = LabelMatrix(
             items=matrix.items.copy(), workers=matrix.workers.copy(),
             labels=(1 - matrix.labels).copy(),
-            num_items=matrix.num_items, num_workers=matrix.num_workers,
-            num_classes=2, item_ids=matrix.item_ids, worker_ids=matrix.worker_ids,
+            item_ids=matrix.item_ids, worker_ids=matrix.worker_ids,
             label_names=matrix.label_names,
         )
         base = run_em_binary(view, hp)

@@ -68,7 +68,6 @@ class TestMajorityVote:
         perm = np.array([1, 2, 0])
         permuted = LabelMatrix(
             items=m.items.copy(), workers=m.workers.copy(), labels=perm[m.labels].copy(),
-            num_items=m.num_items, num_workers=m.num_workers, num_classes=3,
             item_ids=m.item_ids, worker_ids=m.worker_ids,
             label_names=tuple(np.array(m.label_names)[np.argsort(perm)]),
         )
@@ -191,6 +190,11 @@ class TestDawidSkene:
         m = matrix_from(rows, num_classes=3)
         assert np.array_equal(dawid_skene(m).hard_labels, majority_vote(m).hard_labels)
 
+    def test_single_class_refused(self):
+        m = matrix_from([("q0", "w0", "yes"), ("q1", "w0", "yes")])
+        with pytest.raises(ValueError, match="^Dawid-Skene needs at least 2 classes$"):
+            dawid_skene(m)
+
     def test_single_item_single_worker(self):
         m = matrix_from([("q0", "w0", "1")], num_classes=2)
         assert dawid_skene(m).hard_labels.tolist() == [1]
@@ -268,7 +272,6 @@ class TestDawidSkene:
         order = np.random.default_rng(0).permutation(m.num_labels)
         shuffled = LabelMatrix(
             items=m.items[order], workers=m.workers[order], labels=m.labels[order],
-            num_items=m.num_items, num_workers=m.num_workers, num_classes=m.num_classes,
             item_ids=m.item_ids, worker_ids=m.worker_ids, label_names=m.label_names,
         )
         a, b = dawid_skene(m), dawid_skene(shuffled)
@@ -353,7 +356,7 @@ class TestSplitFit:
     def with_idle_workers(m):
         # every odd worker, the last included, has no label
         return dataclasses.replace(
-            m, workers=m.workers * 2, num_workers=2 * m.num_workers,
+            m, workers=m.workers * 2,
             worker_ids=tuple(f"w{j}" for j in range(2 * m.num_workers)))
 
     @staticmethod

@@ -57,9 +57,6 @@ def empty_matrix(num_items=1, num_classes=2):
         items=np.empty(0, dtype=np.int64),
         workers=np.empty(0, dtype=np.int64),
         labels=np.empty(0, dtype=np.int64),
-        num_items=num_items,
-        num_workers=0,
-        num_classes=num_classes,
         item_ids=tuple(f"q{i}" for i in range(num_items)),
         worker_ids=(),
         label_names=tuple(str(k) for k in range(num_classes)),
@@ -200,7 +197,7 @@ class TestErrorRate:
         # divides the pooled mass, so K=3 on binary labels scales eps by 2/3
         m, _ = generate(SynthSpec(num_items=2000, num_workers=50, num_classes=2,
                                   redundancy=5, seed=3))
-        wide = replace(m, num_classes=3, label_names=("0", "1", "2"))
+        wide = replace(m, label_names=("0", "1", "2"))
         eps = estimate_error_rate(m)
         assert eps == pytest.approx(0.14484, rel=1e-12)
         assert estimate_error_rate(wide) == pytest.approx(0.09656, rel=1e-12)
@@ -237,6 +234,13 @@ class TestDeriveBv:
     def test_warns_when_mistakes_exceed_prior_items(self):
         with pytest.warns(UserWarning, match="exceeds a_v"):
             derive_bv(10.0, 1.5)
+
+    @pytest.mark.parametrize("a_v, epsilon, message", [
+        (0.0, 0.1, "^a_v must be positive$"), (math.nan, 0.1, "^a_v must be positive$"),
+        (15.0, -0.1, "^epsilon must be non-negative$")])
+    def test_validation(self, a_v, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            derive_bv(a_v, epsilon)
 
 
 class TestHyperParams:
@@ -303,7 +307,7 @@ class TestInitState:
         rng = np.random.default_rng(3)
         m = LabelMatrix(np.repeat(np.arange(num_items), redundancy),
                         np.tile(np.arange(redundancy), num_items),
-                        rng.integers(0, 2, num_items * redundancy), num_items, redundancy, 2,
+                        rng.integers(0, 2, num_items * redundancy),
                         tuple(f"q{i}" for i in range(num_items)),
                         tuple(f"w{j}" for j in range(redundancy)), ("0", "1"))
         view = binary_view(m, 1)
@@ -605,7 +609,7 @@ class TestExactSums:
             expected = _reference_exact_sums(residuals * residuals, m.workers,
                                              m.num_workers, size)
             table = np.r_[z * z, (z - 1.0) ** 2]
-            sums = _exact_sums(table, view.residual_used, view.residual_index,
+            sums = _exact_sums(table, view.residual_counts, view.residual_index,
                                m.workers, m.num_workers, size)
             assert sums.tobytes() == expected.tobytes()
 
@@ -870,7 +874,6 @@ class TestAggregateMulticlass:
         permuted = LabelMatrix(
             items=m.items.copy(), workers=m.workers.copy(),
             labels=perm[m.labels].copy(),
-            num_items=m.num_items, num_workers=m.num_workers, num_classes=3,
             item_ids=m.item_ids, worker_ids=m.worker_ids,
             label_names=tuple(np.array(m.label_names)[np.argsort(perm)]),
         )
@@ -1028,7 +1031,6 @@ def _reference_crowds():
     # class 3 nobody used and 4 idle workers
     crowds["phantom-idle"] = LabelMatrix(
         items=m.items, workers=m.workers, labels=m.labels,
-        num_items=m.num_items, num_workers=m.num_workers + 4, num_classes=4,
         item_ids=m.item_ids,
         worker_ids=m.worker_ids + tuple(f"idle{j}" for j in range(4)),
         label_names=("0", "1", "2", "3"),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 
 import crowdbwa
 from crowdbwa import cli
-from crowdbwa.cli import main
+from crowdbwa.cli import METHODS, main
 
 FIXTURE = "question,worker,answer\nq1,w1,A\nq1,w2,B\nq2,w1,A\n"
 
@@ -341,6 +342,82 @@ class TestAggregate:
         ).read_bytes()
 
 
+class TestClassSpace:
+    """A label file whose integer labels set far more classes than it uses
+    is refused before any method runs."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_two_rows_with_a_huge_label(self, tmp_path, capsys, method):
+        labels = tmp_path / "l.csv"
+        labels.write_text("question,worker,answer\nq0,w0,0\nq1,w0,3000000\n")
+        before = snapshot(tmp_path)
+        code, out, err = run(capsys, "aggregate", "--labels", str(labels), "--method", method,
+                             "--out", str(tmp_path / "p.csv"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {labels}:3: integer label '3000000' sets 3000001 classes, "
+                       "more than the 64 that 2 distinct labels allow\n")
+        assert snapshot(tmp_path) == before
+
+    def test_k_beyond_the_bound_refused(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text("question,worker,answer\nq1,w1,0\nq1,w2,1\nq2,w1,1\n")
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "aggregate", "--labels", str(labels), "--method", "mv",
+                           "--out", str(out), "--k", "65")
+        assert (code, err) == (1, f"error: {labels}: num_classes=65 is more than the 64 "
+                                  "classes that 2 distinct labels allow\n")
+        assert not out.exists()
+        code, _, _ = run(capsys, "aggregate", "--labels", str(labels), "--method", "mv",
+                         "--out", str(out), "--k", "64")
+        assert code == 0 and out.exists()
+
+
+BWA_FLAGS = [("--profile", "av30-original"), ("--a-v", "2"), ("--epsilon-strategy", "original"),
+             ("--lambda", "2"), ("--tolerance", "0.5"), ("--max-iters", "3")]
+
+
+class TestBwaOnlyFlags:
+    """``aggregate`` refuses bwa's flags under the other methods."""
+
+    @pytest.mark.parametrize("flag, value", BWA_FLAGS)
+    @pytest.mark.parametrize("method", ["mv", "ds"])
+    def test_refused_before_anything_is_read(self, tmp_path, capsys, monkeypatch, method,
+                                             flag, value):
+        labels, out = tmp_path / "l.csv", tmp_path / "p.csv"
+        labels.write_text(FIXTURE)
+        loads = []
+        monkeypatch.setattr(cli, "load_labels", lambda *a, **k: loads.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregate", "--labels", str(labels), "--method", method,
+                  "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: --method {method} takes none of bwa's flags: {flag}\n")
+        assert loads == [] and not out.exists()
+
+    def test_every_flag_named(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text(FIXTURE)
+        with pytest.raises(SystemExit):
+            main(["aggregate", "--labels", str(labels), "--method", "ds",
+                  "--out", str(tmp_path / "p.csv"), *(a for pair in BWA_FLAGS for a in pair)])
+        assert capsys.readouterr().err.endswith(
+            f"takes none of bwa's flags: {', '.join(flag for flag, _ in BWA_FLAGS)}\n")
+
+    @pytest.mark.parametrize("flag, value", BWA_FLAGS)
+    def test_bwa_accepts_each(self, tmp_path, capsys, flag, value):
+        labels = tmp_path / "l.csv"
+        labels.write_text(FIXTURE)
+        code, _, err = run(capsys, "aggregate", "--labels", str(labels), "--method", "bwa",
+                           "--out", str(tmp_path / "p.csv"), flag, value)
+        assert code == 0, err
+
+    def test_profile_defaults_to_av15_adjusted(self):
+        args = cli._build_parser().parse_args(["aggregate", "--labels", "l", "--out", "p"])
+        assert args.profile is None
+        assert cli._hyper_params(args) == cli.PROFILES["av15-adjusted"]
+
+
 def make_dataset(tmp_path, capsys, name, seed, accuracy_range=("0.35", "0.75")):
     d = tmp_path / "data" / name
     d.mkdir(parents=True)
@@ -394,6 +471,36 @@ class TestBench:
                            "--methods", "mv,bwa")
         assert code == 0
         assert "broken" in err and "skipped" in err
+
+    def test_data_must_be_a_directory(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(FIXTURE)
+        code, _, err = run(capsys, "bench", "--data", str(data))
+        assert (code, err) == (1, f"error: {data} is not a directory\n")
+
+    @pytest.mark.parametrize("methods, message", [
+        (",", "no methods given"),
+        ("mv,zc", "unknown method 'zc' (expected mv, ds or bwa[:profile])"),
+        ("mv:av30-original,bwa", "method 'mv' takes no profile"),
+        ("mv,bwa:av99", "unknown profile 'av99' (expected one of "
+                        "['av15-adjusted', 'av30-original'])"),
+    ], ids=["none", "unknown-method", "profile-on-mv", "unknown-profile"])
+    def test_bad_methods(self, tmp_path, capsys, methods, message):
+        make_dataset(tmp_path, capsys, "ds1", 5)
+        code, out, err = run(capsys, "bench", "--data", str(tmp_path / "data"),
+                             "--methods", methods)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_file_and_directory_without_labels_skipped(self, tmp_path, capsys):
+        make_dataset(tmp_path, capsys, "ds1", 4)
+        (tmp_path / "data" / "notes.txt").write_text("not a dataset\n")
+        (tmp_path / "data" / "empty").mkdir()
+        report_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "bench", "--data", str(tmp_path / "data"),
+                           "--methods", "mv", "--out", str(report_path))
+        assert code == 0
+        assert "notes" not in err and "empty" not in err
+        assert {s["dataset"] for s in json.loads(report_path.read_text())["scores"]} == {"ds1"}
 
     def test_requires_mv_baseline(self, tmp_path, capsys):
         make_dataset(tmp_path, capsys, "ds1", 5)
@@ -556,6 +663,12 @@ class TestSweep:
         assert len(rows) == 7
         assert sum(",original," in r for r in rows[1:]) == 3
         assert sum(",adjusted," in r for r in rows[1:]) == 3
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        d = make_dataset(tmp_path, capsys, "ds1", 6)
+        code, out, err = run(capsys, "sweep", "--labels", str(d / "labels.csv"),
+                             "--truth", str(d / "truth.csv"), "--grid", " , ")
+        assert (code, out, err) == (1, "", "error: empty a_v grid\n")
 
     def test_zero_prior_strength_rejected(self, tmp_path, capsys):
         d = make_dataset(tmp_path, capsys, "ds1", 7)
@@ -745,6 +858,15 @@ class TestModuleEntryPoint:
                                "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text() == "question,label\nq1,A\nq2,A\n"
+
+    def test_in_process(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["crowdbwa", "aggregate", "--labels",
+                                          str(tmp_path / "missing.csv"),
+                                          "--out", str(tmp_path / "pred.csv")])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("crowdbwa", run_name="__main__")
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_error_status(self, tmp_path):
         proc = self.run_module("aggregate", "--labels", str(tmp_path / "missing.csv"),

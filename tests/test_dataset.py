@@ -244,6 +244,66 @@ def test_whitespace_sets_are_str_rules():
     assert (len(WHITESPACE), len(BREAKS)) == (29, 10)
 
 
+class TestClassSpaceBound:
+    """An integer label space holds at most max(64, 4 * D) classes, with D
+    the number of distinct label values."""
+
+    HEADER = "question,worker,answer\n"
+
+    def test_inferred_space_named_at_the_largest_labels_first_row(self, tmp_path):
+        path = write(tmp_path, "l.csv", self.HEADER + "q0,w0,0\nq1,w0,3000000\n"
+                     "q2,w0,03000000\nq3,w0,3000000\n")
+        with pytest.raises(ValidationError, match=(
+                r"l\.csv:3: integer label '3000000' sets 3000001 classes, more than the 64 "
+                r"that 2 distinct labels allow$")):
+            load_labels(path)
+
+    def test_in_file_order_with_other_faults(self, tmp_path):
+        wide = write(tmp_path, "a.csv", self.HEADER + "q0,w0,0\nq1,w0,64\nq1,w0,1\n")
+        with pytest.raises(ValidationError, match=r"a\.csv:3: integer label '64'"):
+            load_labels(wide)
+        repeat = write(tmp_path, "b.csv", self.HEADER + "q0,w0,0\nq0,w0,1\nq1,w0,64\n")
+        with pytest.raises(ValidationError, match=r"b\.csv:3: duplicate"):
+            load_labels(repeat)
+        malformed = write(tmp_path, "c.csv", self.HEADER + "q0,w0,0\nq1,w0\nq2,w0,64\n")
+        with pytest.raises(ParseError, match=r"c\.csv:3: expected 3"):
+            load_labels(malformed)
+
+    def test_bound_grows_with_distinct_values(self, tmp_path):
+        rows = "".join(f"q{v},w0,{v}\n" for v in range(20))
+        assert load_labels(write(tmp_path, "a.csv", self.HEADER + rows + "q20,w0,79\n")
+                           ).num_classes == 80
+        with pytest.raises(ValidationError, match=r":22: .* more than the 84 that 21"):
+            load_labels(write(tmp_path, "b.csv", self.HEADER + rows + "q20,w0,84\n"))
+
+    @pytest.mark.parametrize("values", [range(1, 6), (0, 10), (3, 7)])
+    def test_rating_scales_load(self, tmp_path, values):
+        rows = "".join(f"q{v},w0,{v}\n" for v in values)
+        assert load_labels(write(tmp_path, "l.csv", self.HEADER + rows)).num_classes == max(
+            values) + 1
+
+    def test_explicit_space_names_the_file_and_value(self, tmp_path):
+        path = write(tmp_path, "l.csv", self.HEADER + "q0,w0,0\nq1,w0,1\n")
+        assert load_labels(path, num_classes=64).num_classes == 64
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: num_classes=65 is more than the 64 classes that 2 distinct "
+                "labels allow")):
+            load_labels(path, num_classes=65)
+
+    def test_beyond_int64_keeps_its_message(self, tmp_path):
+        path = write(tmp_path, "l.csv", self.HEADER + "q0,w0,0\nq1,w0,99999999999999999999\n")
+        with pytest.raises(ValidationError,
+                           match=r"l\.csv:3: integer label '9{20}' is beyond the int64 range$"):
+            load_labels(path)
+
+    def test_from_triples(self):
+        with pytest.raises(ValidationError,
+                           match=r"^integer label '300' sets 301 classes, more than the 64"):
+            LabelMatrix.from_triples([("q0", "w0", "0"), ("q1", "w0", "300")])
+        with pytest.raises(ValidationError, match=r"^num_classes=65 is more than the 64"):
+            LabelMatrix.from_triples([("q0", "w0", "0"), ("q1", "w0", "1")], num_classes=65)
+
+
 @pytest.mark.parametrize("newline", BREAKS + ["\r\n", "\n\r", "\r\r\n"], ids=code_points)
 class TestEveryLineBreak:
     def test_labels(self, tmp_path, newline):
@@ -817,7 +877,7 @@ class TestEveryItemHasALabel:
 
     def test_direct_constructor_names_first_unlabelled_item(self):
         with pytest.raises(ValidationError, match="^item 'q1' has no label$"):
-            LabelMatrix(np.array([0, 2]), np.array([0, 0]), np.array([0, 1]), 4, 1, 2,
+            LabelMatrix(np.array([0, 2]), np.array([0, 0]), np.array([0, 1]),
                         ("q0", "q1", "q2", "q3"), ("w0",), ("0", "1"))
 
     def test_explicit_item_without_label(self):
@@ -828,7 +888,7 @@ class TestEveryItemHasALabel:
     def test_no_items(self):
         none = np.empty(0, dtype=np.int64)
         with pytest.raises(ValidationError, match="at least one item"):
-            LabelMatrix(none, none, none, 0, 0, 2, (), (), ("0", "1"))
+            LabelMatrix(none, none, none, (), (), ("0", "1"))
 
 
 class TestIndicesInRange:
@@ -837,7 +897,6 @@ class TestIndicesInRange:
     @staticmethod
     def build(items, workers, labels, num_items=2, num_workers=1, num_classes=2):
         return LabelMatrix(np.array(items), np.array(workers), np.array(labels),
-                           num_items, num_workers, num_classes,
                            tuple(f"q{i}" for i in range(num_items)),
                            tuple(f"w{j}" for j in range(num_workers)),
                            tuple(str(k) for k in range(num_classes)))
@@ -866,26 +925,6 @@ class TestIndicesInRange:
         assert m.labels_per_worker.tolist() == [1, 1]
 
 
-class TestIdTableLengths:
-    """Each id table holds one name per index."""
-
-    @pytest.mark.parametrize("table, names, expected", [
-        ("item_ids", ("q0",), 2), ("worker_ids", ("w0", "w1"), 1),
-        ("label_names", ("0", "1", "2"), 2)])
-    def test_length_differs_from_count(self, table, names, expected):
-        tables = {"item_ids": ("q0", "q1"), "worker_ids": ("w0",), "label_names": ("0", "1")}
-        tables[table] = names
-        with pytest.raises(ValidationError,
-                           match=rf"^{table} must hold {expected} names, found {len(names)}$"):
-            LabelMatrix(np.array([0, 1]), np.array([0, 0]), np.array([0, 1]), 2, 1, 2,
-                        **tables)
-
-    def test_short_item_ids_with_an_unlabelled_item(self):
-        with pytest.raises(ValidationError, match=r"^item_ids must hold 2 names, found 1$"):
-            LabelMatrix(np.array([0]), np.array([0]), np.array([0]), 2, 1, 2,
-                        ("q0",), ("w0",), ("0", "1"))
-
-
 class TestCountsAtConstruction:
     """The per-item and per-worker counts and their maxima are fields,
     taken once, when the matrix is built."""
@@ -894,7 +933,7 @@ class TestCountsAtConstruction:
     def columns(num_labels, num_items, num_workers, seed=0):
         rng = np.random.default_rng(seed)
         return (np.arange(num_labels) % num_items, rng.integers(0, num_workers, num_labels),
-                rng.integers(0, 2, num_labels), num_items, num_workers, 2,
+                rng.integers(0, 2, num_labels),
                 tuple(f"q{i}" for i in range(num_items)),
                 tuple(f"w{j}" for j in range(num_workers)), ("0", "1"))
 
@@ -944,9 +983,18 @@ class TestCountsAtConstruction:
 
     def test_replace_counts_afresh(self):
         m = self.build(100, 10, 5)
-        wider = dataclasses.replace(m, num_workers=7, worker_ids=m.worker_ids + ("w5", "w6"))
+        wider = dataclasses.replace(m, worker_ids=m.worker_ids + ("w5", "w6"))
         assert wider.labels_per_worker.tolist() == m.labels_per_worker.tolist() + [0, 0]
         assert wider.max_labels_per_worker == m.max_labels_per_worker
+
+    def test_sizes_come_from_the_id_tables(self):
+        m = self.build(100, 10, 5)
+        assert (m.num_items, m.num_workers, m.num_classes) == (10, 5, 2)
+        for size in ("num_items", "num_workers", "num_classes"):
+            with pytest.raises(ValueError, match=f"{size}.*init=False"):
+                dataclasses.replace(m, **{size: 1})
+        wider = dataclasses.replace(m, worker_ids=m.worker_ids + ("w5", "w6"))
+        assert wider.num_workers == 7
 
 
 class TestVoteCounts:
@@ -1019,14 +1067,16 @@ class TestBinaryView:
             view = binary_view(m, k)
             positives = vote_counts(m)[:, k]
             # items with a label other than k, then items with k
-            assert np.array_equal(view.residual_used, np.concatenate(
-                (m.labels_per_item > positives, positives > 0)))
+            assert np.array_equal(view.residual_counts, np.concatenate(
+                (m.labels_per_item - positives, positives)))
+            assert np.array_equal(view.residual_counts,
+                                  np.bincount(view.residual_index, minlength=2 * m.num_items))
 
     def test_frozen_and_read_only(self):
         view = binary_view(LabelMatrix.from_triples([("q0", "w0", "1")]), 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             view.focal_class = 0
-        for arr in (view.residual_index, view.residual_used):
+        for arr in (view.residual_index, view.residual_counts):
             assert not arr.flags.writeable
 
 

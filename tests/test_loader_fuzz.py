@@ -34,20 +34,20 @@ def reference_load_labels(path, num_classes=None):
         raise ValidationError(f"{path}: empty file")
     if raw[0].strip() != LABELS_HEADER:
         raise ParseError(f"{path}:1: bad header")
-    records = []
+    records, linenos, faults = [], [], []
     seen = set()
     for lineno, line in enumerate(raw[1:], start=2):
         if not line.strip():
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 3 or any(not f for f in fields):
-            raise ParseError(f"{path}:{lineno}: malformed row")
-        if (fields[0], fields[1]) in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate pair")
+            faults.append(ParseError(f"{path}:{lineno}: malformed row"))
+            break
+        if (fields[0], fields[1]) in seen and not faults:
+            faults.append(ValidationError(f"{path}:{lineno}: duplicate pair"))
         seen.add((fields[0], fields[1]))
         records.append(fields)
-    if not records:
-        raise ValidationError(f"{path}: no label rows")
+        linenos.append(lineno)
 
     item_map, worker_map, label_map = {}, {}, {}
     integer_labels = all(_INT_LABEL.match(r[2]) for r in records)
@@ -59,10 +59,23 @@ def reference_load_labels(path, num_classes=None):
             labels[t] = int(label)
         else:
             labels[t] = label_map.setdefault(label, len(label_map))
+    # an integer label space holds at most max(64, 4 * distinct values) classes
+    widest = max(64, 4 * len(set(labels.tolist())))
+    if integer_labels and records and num_classes is None and labels.max() >= widest:
+        # at the first row holding the largest label; a repeated pair on
+        # the same row is reported first
+        at = linenos[int(labels.argmax())]
+        faults.append(ValidationError(f"{path}:{at}: class space too wide"))
+    if faults:  # the first in file order
+        raise min(faults, key=lambda exc: int(re.search(r":(\d+):", str(exc)).group(1)))
+    if not records:
+        raise ValidationError(f"{path}: no label rows")
     if integer_labels:
         inferred = int(labels.max()) + 1
         if num_classes is not None and num_classes < inferred:
             raise ValidationError("num_classes below the largest label")
+        if num_classes is not None and num_classes > widest:
+            raise ValidationError("num_classes beyond the class space bound")
         k_total = num_classes if num_classes is not None else inferred
         label_names = tuple(str(k) for k in range(k_total))
     else:
@@ -70,9 +83,7 @@ def reference_load_labels(path, num_classes=None):
             raise ValidationError("num_classes on string labels")
         label_names = tuple(label_map)
     return LabelMatrix(
-        items=items, workers=workers, labels=labels,
-        num_items=len(item_map), num_workers=len(worker_map),
-        num_classes=len(label_names), item_ids=tuple(item_map),
+        items=items, workers=workers, labels=labels, item_ids=tuple(item_map),
         worker_ids=tuple(worker_map), label_names=label_names,
     )
 

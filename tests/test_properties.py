@@ -40,9 +40,6 @@ def relabelled(matrix, item_perm=None, worker_perm=None):
         items=item_perm[matrix.items].copy(),
         workers=worker_perm[matrix.workers].copy(),
         labels=matrix.labels.copy(),
-        num_items=matrix.num_items,
-        num_workers=matrix.num_workers,
-        num_classes=matrix.num_classes,
         item_ids=tuple(np.array(matrix.item_ids)[np.argsort(item_perm)]),
         worker_ids=tuple(np.array(matrix.worker_ids)[np.argsort(worker_perm)]),
         label_names=matrix.label_names,
@@ -80,7 +77,6 @@ class TestSymmetries:
         flipped = LabelMatrix(
             items=matrix.items.copy(), workers=matrix.workers.copy(),
             labels=(1 - matrix.labels).copy(),
-            num_items=matrix.num_items, num_workers=matrix.num_workers, num_classes=2,
             item_ids=matrix.item_ids, worker_ids=matrix.worker_ids,
             label_names=matrix.label_names,
         )
@@ -119,9 +115,7 @@ class TestSymmetries:
         order = np.random.default_rng(seed + 200).permutation(matrix.num_labels)
         shuffled = LabelMatrix(
             items=matrix.items[order], workers=matrix.workers[order],
-            labels=matrix.labels[order],
-            num_items=matrix.num_items, num_workers=matrix.num_workers,
-            num_classes=matrix.num_classes, item_ids=matrix.item_ids,
+            labels=matrix.labels[order], item_ids=matrix.item_ids,
             worker_ids=matrix.worker_ids, label_names=matrix.label_names,
         )
         hp = PROFILES["av15-adjusted"]

@@ -1,5 +1,7 @@
 """Synthetic crowd generation: determinism, structure and calibration."""
 
+import re
+
 import numpy as np
 import pytest
 from test_item_label_fuzz import truth_map
@@ -213,6 +215,18 @@ class TestSplitMix64:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("counts", [(0, 5, 2), (5, 0, 2), (5, 5, 0), (-1, 5, 2)])
+    def test_non_positive_counts(self, counts):
+        items, workers, classes = counts
+        with pytest.raises(ValueError, match="^item, worker and class counts must be positive$"):
+            SynthSpec(num_items=items, num_workers=workers, num_classes=classes, redundancy=1)
+
+    def test_confusion_shape(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("confusion must have shape (3, 2, 2)")):
+            SynthSpec(num_items=5, num_workers=3, num_classes=2, redundancy=1,
+                      confusion=np.tile(np.eye(2), (2, 1, 1)))
+
     def test_redundancy_exceeding_workers(self):
         with pytest.raises(ValueError, match="redundancy"):
             SynthSpec(num_items=5, num_workers=3, num_classes=2, redundancy=4)
